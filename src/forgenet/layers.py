@@ -67,7 +67,7 @@ class DenseLayer:
 class LayerGradients:
     """Gradient bundle for one layer; unused fields stay None."""
 
-    d_input: np.ndarray
+    d_input: np.ndarray | None
     d_weights: np.ndarray | None = None
     d_bias: np.ndarray | None = None
     d_gamma: np.ndarray | None = None
@@ -77,21 +77,69 @@ class LayerGradients:
 @dataclass
 class BatchNormCache:
     training: bool
-    x: np.ndarray | None = None
     xhat: np.ndarray | None = None
     var: np.ndarray | None = None
     inv_std: np.ndarray | None = None
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    """(n, c, h, w) -> (n*(h-2)*(w-2), c*9) patch matrix."""
-    win = np.lib.stride_tricks.sliding_window_view(x, (KERNEL, KERNEL), axis=(2, 3))
-    n, c, ho, wo = win.shape[:4]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * KERNEL * KERNEL)
+# Conv works through the batch in blocks of at most PATCH_BYTES of patch
+# matrix, so that a block's patches, input rows and output rows fit in one
+# core's L2 cache (1-2 MB on current x86 server cores) and the GEMM reads
+# the patches from cache rather than main memory. A whole-batch patch
+# matrix at 128px would be up to 283 MB, and conv time would then follow
+# other processes' memory traffic. Smaller blocks cost more Python calls
+# than they save.
+PATCH_BYTES = 1 << 19
+
+
+def _blocks(x: np.ndarray, ho: int, wo: int) -> list[tuple[slice, slice]]:
+    """(samples, output rows) slices that tile an (n, ho) batch of outputs,
+    each with a patch matrix of at most PATCH_BYTES where one output row
+    allows: several whole samples when one sample fits, otherwise bands of
+    rows of one sample."""
+    n, c = x.shape[:2]
+    rows = max(1, PATCH_BYTES // (c * KERNEL * KERNEL * wo * x.itemsize))
+    if rows >= ho:
+        step = rows // ho
+        return [
+            (slice(i, min(i + step, n)), slice(0, ho)) for i in range(0, n, step)
+        ]
+    return [
+        (slice(i, i + 1), slice(r, min(r + rows, ho)))
+        for i in range(n)
+        for r in range(0, ho, rows)
+    ]
+
+
+def _im2col(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """(m, c, r+2, w) input rows -> (m, c*9, r*(w-2)) patch matrix, rows in
+    (c, dy, dx) order, built from 9 slice copies into the front of the flat
+    buffer `buf`."""
+    m, c, h, w = x.shape
+    ho, wo = h - KERNEL + 1, w - KERNEL + 1
+    cols = buf[: m * c * KERNEL * KERNEL * ho * wo]
+    cols = cols.reshape(m, c, KERNEL, KERNEL, ho, wo)
+    for dy in range(KERNEL):
+        for dx in range(KERNEL):
+            cols[:, :, dy, dx] = x[:, :, dy : dy + ho, dx : dx + wo]
+    return cols.reshape(m, c * KERNEL * KERNEL, ho * wo)
+
+
+def _patch_buffer(
+    x: np.ndarray, blocks: list[tuple[slice, slice]], wo: int, dtype
+) -> np.ndarray:
+    """Flat buffer large enough for the patch matrix of any of the blocks."""
+    outputs = max((s.stop - s.start) * (r.stop - r.start) for s, r in blocks)
+    return np.empty(outputs * x.shape[1] * KERNEL * KERNEL * wo, dtype=dtype)
 
 
 def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """out(i,f,y,x) = bias(f) + sum_{c,dy,dx} w(f,c,dy,dx) * x(i,c,y+dy,x+dx)."""
+    """out(i,f,y,x) = bias(f) + sum_{c,dy,dx} w(f,c,dy,dx) * x(i,c,y+dy,x+dx).
+
+    One GEMM per block (see PATCH_BYTES), weights (k, c*9) times the
+    block's patch matrix, written straight into the C-contiguous
+    (n, k, ho, wo) output.
+    """
     require_rank(x, 4, "conv input")
     n, c, h, w = x.shape
     if h < KERNEL or w < KERNEL:
@@ -102,17 +150,28 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
         )
     ho, wo = h - KERNEL + 1, w - KERNEL + 1
     k = layer.filters
-    cols = _im2col(x)
     wmat = layer.weights.reshape(k, -1)
-    out = cols @ wmat.T
-    out = out.reshape(n, ho, wo, k).transpose(0, 3, 1, 2)
-    return out + layer.bias.reshape(1, k, 1, 1)
+    out = np.empty((n, k, ho, wo), dtype=np.result_type(wmat, x))
+    blocks = _blocks(x, ho, wo)
+    buf = _patch_buffer(x, blocks, wo, x.dtype)
+    for samples, rows in blocks:
+        cols = _im2col(x[samples, :, rows.start : rows.stop + KERNEL - 1], buf)
+        # A band of whole rows of a C-contiguous array reshapes to a view.
+        np.matmul(wmat, cols, out=out[samples, :, rows].reshape(len(cols), k, -1))
+    out += layer.bias.reshape(1, k, 1, 1)
+    return out
 
 
 def conv2d_backward(
-    x: np.ndarray, layer: ConvLayer, upstream: np.ndarray
+    x: np.ndarray, layer: ConvLayer, upstream: np.ndarray, input_grad: bool = True
 ) -> LayerGradients:
-    """Gradients of conv2d_forward under sum(upstream * output)."""
+    """Gradients of conv2d_forward under sum(upstream * output).
+
+    Works block by block like the forward pass and rebuilds each patch
+    matrix from `x` rather than keeping it from the forward pass. With
+    `input_grad=False` (the first block, whose input is the image) the
+    patch-gradient GEMM and col2im are skipped and d_input is None.
+    """
     require_rank(x, 4, "conv input")
     require_rank(upstream, 4, "conv upstream")
     n, c, h, w = x.shape
@@ -123,20 +182,33 @@ def conv2d_backward(
             f"conv upstream shape {upstream.shape} != forward output "
             f"shape {(n, k, ho, wo)}"
         )
-    cols = _im2col(x)
-    up_mat = upstream.transpose(0, 2, 3, 1).reshape(n * ho * wo, k)
     wmat = layer.weights.reshape(k, -1)
-
-    d_weights = (up_mat.T @ cols).reshape(layer.weights.shape)
+    d_weights = np.zeros(wmat.shape, dtype=np.result_type(upstream, x))
+    d_input = np.zeros_like(x) if input_grad else None
+    blocks = _blocks(x, ho, wo)
+    buf = _patch_buffer(x, blocks, wo, x.dtype)
+    if input_grad:
+        dbuf = _patch_buffer(x, blocks, wo, np.result_type(wmat, upstream))
+    for samples, rows in blocks:
+        r0, r1 = rows.start, rows.stop
+        cols = _im2col(x[samples, :, r0 : r1 + KERNEL - 1], buf)
+        up = upstream[samples, :, rows].reshape(len(cols), k, -1)
+        d_weights += np.matmul(up, cols.transpose(0, 2, 1)).sum(axis=0)
+        if not input_grad:
+            continue
+        dcols = dbuf[: cols.size].reshape(cols.shape)
+        np.matmul(wmat.T, up, out=dcols)
+        dcols = dcols.reshape(len(cols), c, KERNEL, KERNEL, r1 - r0, wo)
+        d_in = d_input[samples]
+        for dy in range(KERNEL):
+            for dx in range(KERNEL):
+                d_in[:, :, r0 + dy : r1 + dy, dx : dx + wo] += dcols[:, :, dy, dx]
     d_bias = upstream.sum(axis=(0, 2, 3))
-
-    dcols = (up_mat @ wmat).reshape(n, ho, wo, c, KERNEL, KERNEL)
-    dcols = dcols.transpose(0, 3, 1, 2, 4, 5)  # (n, c, ho, wo, 3, 3)
-    d_input = np.zeros_like(x)
-    for dy in range(KERNEL):
-        for dx in range(KERNEL):
-            d_input[:, :, dy : dy + ho, dx : dx + wo] += dcols[:, :, :, :, dy, dx]
-    return LayerGradients(d_input=d_input, d_weights=d_weights, d_bias=d_bias)
+    return LayerGradients(
+        d_input=d_input,
+        d_weights=d_weights.reshape(layer.weights.shape),
+        d_bias=d_bias,
+    )
 
 
 def batchnorm_forward(
@@ -175,7 +247,7 @@ def batchnorm_forward(
     m = layer.momentum
     layer.moving_mean[:] = m * layer.moving_mean + (1.0 - m) * mean
     layer.moving_var[:] = m * layer.moving_var + (1.0 - m) * var
-    return out, BatchNormCache(training=True, x=x, xhat=xhat, var=var, inv_std=inv_std)
+    return out, BatchNormCache(training=True, xhat=xhat, var=var, inv_std=inv_std)
 
 
 def batchnorm_backward(

@@ -232,7 +232,10 @@ def backward(
         bg = L.batchnorm_backward(cache.bn_caches[i], net.bns[i], d)
         grads[f"bn{i}.gamma"] = bg.d_gamma
         grads[f"bn{i}.beta"] = bg.d_beta
-        cg = L.conv2d_backward(cache.conv_inputs[i], net.convs[i], bg.d_input)
+        # Block 0's input is the image batch; nothing reads its gradient.
+        cg = L.conv2d_backward(
+            cache.conv_inputs[i], net.convs[i], bg.d_input, input_grad=i > 0
+        )
         grads[f"conv{i}.weights"] = cg.d_weights
         grads[f"conv{i}.bias"] = cg.d_bias
         d = cg.d_input

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_layers
 from fdcheck import assert_close, central_diff
 from forgenet import layers
 from forgenet.errors import ContractError, DegenerateBatchError, ShapeError
@@ -128,6 +129,96 @@ class TestConvBackward:
         assert_close(grads.d_weights, central_diff(objective, layer.weights), 1e-4)
         assert_close(grads.d_bias, central_diff(objective, layer.bias), 1e-4)
         assert_close(grads.d_input, central_diff(objective, x), 1e-4)
+
+
+def assert_rel(actual, expected, rtol, what):
+    """Elementwise within rtol of the largest magnitude in `expected`."""
+    assert_close(actual, expected, rtol, atol=rtol * np.abs(expected).max(), what=what)
+
+
+class TestConvAgainstReference:
+    """The blocked-GEMM conv against the strided im2col path it replaced."""
+
+    # (5, 32) ends on a block of one sample; (4, 128) on a short band of rows.
+    @pytest.mark.parametrize("batch,side", [(16, 32), (5, 32), (4, 128)])
+    @pytest.mark.parametrize("in_channels", [3, 4])
+    def test_float64_matches_reference(self, rng, batch, side, in_channels):
+        x = rng.normal(size=(batch, in_channels, side, side))
+        layer = make_conv(rng, 4, in_channels)
+        out = layers.conv2d_forward(x, layer)
+        assert_rel(out, reference_layers.conv2d_forward(x, layer), 1e-9, "output")
+        upstream = rng.normal(size=out.shape)
+        grads = layers.conv2d_backward(x, layer, upstream)
+        expected = reference_layers.conv2d_backward(x, layer, upstream)
+        for name in ("d_input", "d_weights", "d_bias"):
+            assert_rel(getattr(grads, name), getattr(expected, name), 1e-9, name)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(5, 3, 32, 32), (2, 4, 128, 128), (3, 4, 200, 9), (1, 1, 3, 3), (2, 4, 4, 2002)],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_tile_the_output_once(self, shape, dtype):
+        n, c, h, w = shape
+        x = np.zeros(shape, dtype)
+        ho, wo = h - 2, w - 2
+        seen = np.zeros((n, ho), int)
+        for samples, rows in layers._blocks(x, ho, wo):
+            seen[samples, rows] += 1
+            row_bytes = c * 9 * wo * x.itemsize
+            block_rows = (samples.stop - samples.start) * (rows.stop - rows.start)
+            assert block_rows * row_bytes <= max(layers.PATCH_BYTES, row_bytes)
+        assert (seen == 1).all()
+
+    def test_without_input_grad_same_parameter_gradients(self, rng):
+        x = rng.normal(size=(3, 3, 9, 7))
+        layer = make_conv(rng, 4, 3)
+        upstream = rng.normal(size=(3, 4, 7, 5))
+        full = layers.conv2d_backward(x, layer, upstream)
+        skipped = layers.conv2d_backward(x, layer, upstream, input_grad=False)
+        assert skipped.d_input is None
+        assert np.array_equal(skipped.d_weights, full.d_weights)
+        assert np.array_equal(skipped.d_bias, full.d_bias)
+
+
+def test_float32_batch_statistics_at_paper_shape(rng):
+    """Float32 conv -> BN batch statistics at 128px, batch 128, against float64.
+
+    Summing the conv output over (n, h, w) in float32 stays accurate only
+    when that output is contiguous NCHW; over a strided NHWC-backed view of
+    the same values the batch variance is about 1e-3 off in relative terms.
+    """
+    x = rng.uniform(size=(128, 3, 128, 128)).astype(np.float32)
+    layer = layers.ConvLayer(
+        weights=rng.uniform(-0.5, 0.5, size=(4, 3, 3, 3)).astype(np.float32),
+        bias=np.array([1.0, -1.0, 0.5, -0.5], np.float32),
+    )
+
+    def batch_stats(h, dtype):
+        # momentum 0 makes the moving statistics the batch statistics
+        bn = make_bn(4, dtype)
+        bn.momentum = 0.0
+        _, cache = layers.batchnorm_forward(h, bn, training=True)
+        assert np.array_equal(bn.moving_var, cache.var)
+        return bn.moving_mean.astype(np.float64), bn.moving_var.astype(np.float64)
+
+    out = layers.conv2d_forward(x, layer)
+    assert out.flags.c_contiguous
+    mean32, var32 = batch_stats(out, np.float32)
+    del out
+
+    layer64 = layers.ConvLayer(
+        weights=layer.weights.astype(np.float64), bias=layer.bias.astype(np.float64)
+    )
+    out64 = np.concatenate(
+        [
+            reference_layers.conv2d_forward(chunk.astype(np.float64), layer64)
+            for chunk in np.split(x, 8)
+        ]
+    )
+    mean64, var64 = batch_stats(out64, np.float64)
+    assert_close(mean32, mean64, 1e-5, atol=0.0, what="batch mean")
+    assert_close(var32, var64, 1e-5, atol=0.0, what="batch variance")
 
 
 class TestBatchNormForward:

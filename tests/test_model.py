@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_layers
 from fdcheck import assert_close, central_diff
-from forgenet import model
+from forgenet import layers, model
 from forgenet.errors import (
     ConfigError,
     ContractError,
@@ -200,6 +201,78 @@ class TestBackward:
         _, cache = model.forward(net, x, training=True)
         with pytest.raises(ContractError):
             model.backward(net, cache, np.zeros(3, np.float32))
+
+
+def reference_conv_backward(x, layer, upstream, input_grad=True):
+    return reference_layers.conv2d_backward(x, layer, upstream)
+
+
+def train_pass(monkeypatch, net, x, y, conv_forward, conv_backward):
+    """One training forward and backward with the given conv functions;
+    returns each block's conv output and the gradients."""
+    conv_outputs = []
+
+    def recording_forward(h, layer):
+        conv_outputs.append(conv_forward(h, layer))
+        return conv_outputs[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(layers, "conv2d_forward", recording_forward)
+        patch.setattr(layers, "conv2d_backward", conv_backward)
+        _, cache = model.forward(net, x, training=True)
+        grads = model.backward(net, cache, y)
+    return conv_outputs, grads
+
+
+class TestAgainstReferenceConv:
+    """Whole-network passes through the program's conv against the plain
+    reference conv in tests/reference_layers.py."""
+
+    SHAPES = [(16, 32), (4, 128)]  # (batch, side): desk and paper frame size
+
+    def _inputs(self, rng, batch, side):
+        config = model.NetworkConfig(height=side, width=side, seed=5)
+        x = rng.uniform(size=(batch, 3, side, side))
+        y = (np.arange(batch) % 2).astype(np.float64)
+        return model.build(config), x, y
+
+    @pytest.mark.parametrize("batch,side", SHAPES)
+    def test_float64_activations_and_gradients(self, rng, monkeypatch, batch, side):
+        net, x, y = self._inputs(rng, batch, side)
+        fast_outputs, fast_grads = train_pass(
+            monkeypatch, model.clone_network(net, np.float64), x, y,
+            layers.conv2d_forward, layers.conv2d_backward,
+        )
+        ref_outputs, ref_grads = train_pass(
+            monkeypatch, model.clone_network(net, np.float64), x, y,
+            reference_layers.conv2d_forward, reference_conv_backward,
+        )
+        for i, (got, expected) in enumerate(zip(fast_outputs, ref_outputs)):
+            assert got.flags.c_contiguous
+            assert_close(got, expected, 1e-9, atol=1e-9 * np.abs(expected).max(),
+                         what=f"conv{i} output")
+        assert set(fast_grads) == set(ref_grads)
+        for name, expected in ref_grads.items():
+            if name.startswith("conv") and name.endswith(".bias"):
+                # BN removes any per-channel offset, so these are exactly 0
+                # up to rounding in either path.
+                assert_close(fast_grads[name], expected, 0.0, atol=1e-12, what=name)
+                continue
+            assert_close(fast_grads[name], expected, 1e-9,
+                         atol=1e-9 * np.abs(expected).max(), what=name)
+
+    @pytest.mark.parametrize("batch,side", SHAPES)
+    @pytest.mark.parametrize("training", [True, False])
+    def test_float32_probabilities(self, rng, monkeypatch, batch, side, training):
+        net, x, _ = self._inputs(rng, batch, side)
+        probs32, _ = model.forward(net, x.astype(np.float32), training=training)
+        assert probs32.dtype == np.float32
+        with monkeypatch.context() as patch:
+            patch.setattr(layers, "conv2d_forward", reference_layers.conv2d_forward)
+            probs64, _ = model.forward(
+                model.clone_network(net, np.float64), x, training=training
+            )
+        assert np.abs(probs32 - probs64).max() <= 1e-5
 
 
 class TestWeightsFile:
