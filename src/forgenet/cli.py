@@ -178,10 +178,7 @@ def _eval_records(args: argparse.Namespace) -> list[eval_mod.PredictionRecord]:
         return eval_mod.read_predictions(args.predictions)
     if not (args.weights and args.manifest):
         raise ConfigError("eval requires --weights and --manifest, or --predictions")
-    conv_layers, filters, height, width = model_mod.peek_weights_header(args.weights)
-    config = model_mod.NetworkConfig(
-        conv_layers=conv_layers, filters=filters, height=height, width=width
-    )
+    config = model_mod.NetworkConfig(*model_mod.peek_weights_header(args.weights))
     net = model_mod.load_weights(args.weights, config)
     manifest = data_mod.read_manifest(args.manifest, split="test")
     return eval_mod.predict_manifest(net, manifest, args.batch, args.threads)
@@ -346,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--print-params",
         action="store_true",
-        help="print the trainable parameter count for the configured network and exit",
+        help="print the stored parameter count of the configured network "
+        "(moving BN statistics included) and exit",
     )
     train.set_defaults(func=cmd_train)
 

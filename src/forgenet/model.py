@@ -3,8 +3,9 @@
 The default configuration is 4 conv blocks (4 filters each, 3x3, valid
 padding, stride 1), each followed by batch normalization and ReLU, then
 flatten and a width-1 dense head with sigmoid output: 58,221 stored
-parameters at 3x128x128 input. Moving BN statistics count as stored
-parameters but never receive gradients.
+parameters at 3x128x128 input (IN_CHANNELS is 3: `data.load_image`
+decodes only RGB PPM). Moving BN statistics count as stored parameters but
+never receive gradients.
 
 Weights file format (all integers little-endian u32, floats little-endian
 float32, no padding):
@@ -13,9 +14,10 @@ float32, no padding):
     conv_layers, filters, input_h, input_w
     for each tensor in schema order: rank, dims..., raw float32 data
 
-Schema order per conv block i: conv{i}.weights, conv{i}.bias, bn{i}.gamma,
-bn{i}.beta, bn{i}.moving_mean, bn{i}.moving_var; then dense.weights,
-dense.bias.
+Schema order is `Network.state_tensors()`: per conv block i, conv{i}.weights,
+conv{i}.bias, bn{i}.gamma, bn{i}.beta, bn{i}.moving_mean, bn{i}.moving_var;
+then dense.weights, dense.bias. The header holds every NetworkConfig field
+but the seed, in field order.
 """
 
 from __future__ import annotations
@@ -32,17 +34,15 @@ from .errors import ConfigError, ContractError, ShapeError, WeightsFormatError
 from .tensor import flatten, require_rank, unflatten
 
 MAGIC = b"FGN1"
+IN_CHANNELS = 3
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
     conv_layers: int = 4
     filters: int = 4
-    in_channels: int = 3
     height: int = 128
     width: int = 128
-    bn_epsilon: float = 1e-3
-    bn_momentum: float = 0.99
     seed: int = 0
 
     def __post_init__(self):
@@ -50,8 +50,6 @@ class NetworkConfig:
             raise ConfigError(f"conv_layers must be >= 1, got {self.conv_layers}")
         if self.filters < 1:
             raise ConfigError(f"filters must be >= 1, got {self.filters}")
-        if self.in_channels < 1:
-            raise ConfigError(f"in_channels must be >= 1, got {self.in_channels}")
         # Each valid 3x3 conv shrinks spatial extent by 2; at least one
         # pixel must survive all conv_layers of them.
         min_side = 2 * self.conv_layers + 1
@@ -60,10 +58,6 @@ class NetworkConfig:
                 f"input {self.height}x{self.width} too small for "
                 f"{self.conv_layers} valid convolutions (needs >= {min_side})"
             )
-        if not (0.0 < self.bn_momentum < 1.0):
-            raise ConfigError(f"bn_momentum must be in (0,1), got {self.bn_momentum}")
-        if self.bn_epsilon <= 0.0:
-            raise ConfigError(f"bn_epsilon must be > 0, got {self.bn_epsilon}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
@@ -87,18 +81,6 @@ class Network:
     bns: list[L.BatchNormLayer]
     dense: L.DenseLayer
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        """Trainable tensors in schema order; moving BN stats excluded."""
-        out: dict[str, np.ndarray] = {}
-        for i, (conv, bn) in enumerate(zip(self.convs, self.bns)):
-            out[f"conv{i}.weights"] = conv.weights
-            out[f"conv{i}.bias"] = conv.bias
-            out[f"bn{i}.gamma"] = bn.gamma
-            out[f"bn{i}.beta"] = bn.beta
-        out["dense.weights"] = self.dense.weights
-        out["dense.bias"] = self.dense.bias
-        return out
-
     def state_tensors(self) -> dict[str, np.ndarray]:
         """Every stored tensor in the weights-file schema order."""
         out: dict[str, np.ndarray] = {}
@@ -113,12 +95,16 @@ class Network:
         out["dense.bias"] = self.dense.bias
         return out
 
+    def parameters(self) -> dict[str, np.ndarray]:
+        """Trainable tensors in schema order; moving BN stats excluded."""
+        return {n: t for n, t in self.state_tensors().items() if ".moving_" not in n}
+
 
 def count_parameters(config: NetworkConfig) -> int:
     """Stored-parameter total: conv weights+bias, 4 BN values per channel
     (gamma, beta, moving mean, moving variance), dense weights+bias."""
     f = config.filters
-    total = config.in_channels * 9 * f + f  # first conv
+    total = IN_CHANNELS * 9 * f + f  # first conv
     total += (config.conv_layers - 1) * (f * 9 * f + f)  # remaining convs
     total += config.conv_layers * 4 * f  # batch norm
     total += config.dense_in_features + 1  # dense head
@@ -137,7 +123,7 @@ def build(config: NetworkConfig) -> Network:
     f = config.filters
     convs: list[L.ConvLayer] = []
     bns: list[L.BatchNormLayer] = []
-    c_in = config.in_channels
+    c_in = IN_CHANNELS
     for _ in range(config.conv_layers):
         w = _glorot_uniform(rng, (f, c_in, 3, 3), fan_in=c_in * 9, fan_out=f * 9)
         convs.append(L.ConvLayer(weights=w, bias=np.zeros(f, dtype=np.float32)))
@@ -147,8 +133,6 @@ def build(config: NetworkConfig) -> Network:
                 beta=np.zeros(f, dtype=np.float32),
                 moving_mean=np.zeros(f, dtype=np.float32),
                 moving_var=np.ones(f, dtype=np.float32),
-                momentum=config.bn_momentum,
-                epsilon=config.bn_epsilon,
             )
         )
         c_in = f
@@ -157,10 +141,7 @@ def build(config: NetworkConfig) -> Network:
         weights=_glorot_uniform(rng, (d, 1), fan_in=d, fan_out=1),
         bias=np.zeros(1, dtype=np.float32),
     )
-    net = Network(config=config, convs=convs, bns=bns, dense=dense)
-    stored = sum(t.size for t in net.state_tensors().values())
-    assert stored == count_parameters(config)
-    return net
+    return Network(config=config, convs=convs, bns=bns, dense=dense)
 
 
 @dataclass
@@ -183,7 +164,7 @@ def forward(
     """
     require_rank(x, 4, "network input")
     cfg = net.config
-    expected = (cfg.in_channels, cfg.height, cfg.width)
+    expected = (IN_CHANNELS, cfg.height, cfg.width)
     if x.shape[1:] != expected:
         raise ShapeError(
             f"network input shape {x.shape[1:]} != configured {expected}"
@@ -211,7 +192,7 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Gradients of the mean BCE loss for every trainable parameter.
 
-    Starts from the fused sigmoid+BCE logit gradient (p - y)/n, so the
+    Starts from the fused sigmoid+BCE logit gradient of `bce_loss`, so the
     sigmoid never appears as a separate backward step.
     """
     if not cache.training or cache.probs is None:
@@ -220,7 +201,7 @@ def backward(
     y = np.asarray(labels)
     if y.shape != p.shape:
         raise ContractError(f"labels shape {y.shape} != batch shape {p.shape}")
-    d_logits = ((p - y.astype(p.dtype)) / p.dtype.type(p.size)).astype(p.dtype)
+    _, d_logits = L.bce_loss(p, y)
 
     grads: dict[str, np.ndarray] = {}
     dg = L.dense_backward(cache.dense_input, net.dense, d_logits)
@@ -253,21 +234,6 @@ def clone_network(net: Network, dtype=None) -> Network:
     return out
 
 
-def _expected_schema(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {}
-    c_in = config.in_channels
-    f = config.filters
-    for i in range(config.conv_layers):
-        shapes[f"conv{i}.weights"] = (f, c_in, 3, 3)
-        shapes[f"conv{i}.bias"] = (f,)
-        for part in ("gamma", "beta", "moving_mean", "moving_var"):
-            shapes[f"bn{i}.{part}"] = (f,)
-        c_in = f
-    shapes["dense.weights"] = (config.dense_in_features, 1)
-    shapes["dense.bias"] = (1,)
-    return shapes
-
-
 def save_weights(net: Network, destination) -> None:
     cfg = net.config
     blob = bytearray()
@@ -280,9 +246,7 @@ def save_weights(net: Network, destination) -> None:
     Path(destination).write_bytes(bytes(blob))
 
 
-def peek_weights_header(source) -> tuple[int, int, int, int]:
-    """(conv_layers, filters, height, width) from a weights file header."""
-    data = Path(source).read_bytes()
+def _parse_header(data: bytes) -> tuple[int, int, int, int]:
     if len(data) < 4 or data[:4] != MAGIC:
         raise WeightsFormatError(f"magic: expected {MAGIC!r}, got {data[:4]!r}")
     if len(data) < 20:
@@ -290,43 +254,43 @@ def peek_weights_header(source) -> tuple[int, int, int, int]:
     return struct.unpack_from("<4I", data, 4)
 
 
+def peek_weights_header(source) -> tuple[int, int, int, int]:
+    """(conv_layers, filters, height, width) from a weights file header."""
+    return _parse_header(Path(source).read_bytes())
+
+
 def load_weights(source, config: NetworkConfig) -> Network:
     """Load a weights file into a network built from `config`.
 
-    Every tensor record is checked against the schema implied by the
-    config; the first mismatch is reported by tensor name. Truncated or
-    oversized files are rejected.
+    Every tensor record is checked against the shape of the same tensor in
+    the freshly built network; the first mismatch is reported by tensor
+    name. Truncated or oversized files are rejected.
     """
     data = Path(source).read_bytes()
-    header = peek_weights_header(source)
+    header = _parse_header(data)
     offset = 20
     net = build(config)
-    schema = _expected_schema(config)
-    loaded: dict[str, np.ndarray] = {}
-    for name, expected_shape in schema.items():
+    for name, dest in net.state_tensors().items():
         if offset + 4 > len(data):
             raise WeightsFormatError(f"{name}: unexpected end of file")
         (rank,) = struct.unpack_from("<I", data, offset)
         offset += 4
-        if rank != len(expected_shape):
+        if rank != dest.ndim:
             raise WeightsFormatError(
-                f"{name}: file has rank {rank}, config expects rank "
-                f"{len(expected_shape)}"
+                f"{name}: file has rank {rank}, config expects rank {dest.ndim}"
             )
         if offset + 4 * rank > len(data):
             raise WeightsFormatError(f"{name}: unexpected end of file")
         dims = struct.unpack_from(f"<{rank}I", data, offset)
         offset += 4 * rank
-        if dims != expected_shape:
+        if dims != dest.shape:
             raise WeightsFormatError(
-                f"{name}: file has shape {dims}, config expects {expected_shape}"
+                f"{name}: file has shape {dims}, config expects {dest.shape}"
             )
-        count = int(np.prod(dims))
-        nbytes = 4 * count
+        nbytes = 4 * dest.size
         if offset + nbytes > len(data):
             raise WeightsFormatError(f"{name}: unexpected end of file")
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-        loaded[name] = arr.reshape(dims).copy()
+        dest[...] = np.frombuffer(data, "<f4", dest.size, offset).reshape(dims)
         offset += nbytes
     if offset != len(data):
         raise WeightsFormatError(f"trailing data after {name} ({len(data) - offset} bytes)")
@@ -335,7 +299,4 @@ def load_weights(source, config: NetworkConfig) -> Network:
         raise WeightsFormatError(
             f"header: file says {header}, config expects {expected_header}"
         )
-    for tensor_name, arr in loaded.items():
-        dest = net.state_tensors()[tensor_name]
-        dest[...] = arr
     return net

@@ -1,4 +1,5 @@
-"""Rank-2 and rank-4 array helpers.
+"""Flatten/unflatten between rank-4 activations and rank-2 features, and
+rank checks.
 
 Activations and gradients are carried by plain numpy arrays, float32 for
 model state, laid out as C-contiguous (n, c, h, w). Conv writes this layout
@@ -12,15 +13,11 @@ here is dtype-preserving.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .errors import ShapeError
 
 Shape4 = tuple[int, int, int, int]
-
-FLOAT_DTYPES = (np.float32, np.float64)
 
 
 def _check_shape(shape: tuple[int, ...], rank: int) -> None:
@@ -30,36 +27,12 @@ def _check_shape(shape: tuple[int, ...], rank: int) -> None:
         raise ShapeError(f"all dimensions must be >= 1, got {shape}")
 
 
-def zeros(shape: Shape4, dtype=np.float32) -> np.ndarray:
-    """All-zero (n, c, h, w) tensor. Rejects zero or negative dimensions."""
-    _check_shape(tuple(shape), 4)
-    return np.zeros(shape, dtype=dtype)
-
-
-def zeros2(shape: tuple[int, int], dtype=np.float32) -> np.ndarray:
-    _check_shape(tuple(shape), 2)
-    return np.zeros(shape, dtype=dtype)
-
-
-def as_tensor4(data, dtype=np.float32) -> np.ndarray:
-    """Validate and return a contiguous rank-4 array."""
-    x = np.ascontiguousarray(data, dtype=dtype)
-    _check_shape(x.shape, 4)
-    return x
-
-
 def require_rank(x: np.ndarray, rank: int, what: str = "tensor") -> np.ndarray:
     if not isinstance(x, np.ndarray) or x.ndim != rank:
         got = getattr(x, "shape", type(x).__name__)
         raise ShapeError(f"{what}: expected rank-{rank} array, got {got}")
     if any(d < 1 for d in x.shape):
         raise ShapeError(f"{what}: all dimensions must be >= 1, got {x.shape}")
-    return x
-
-
-def require_finite(x: np.ndarray, what: str = "tensor") -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise ShapeError(f"{what}: contains non-finite values")
     return x
 
 
@@ -81,9 +54,3 @@ def unflatten(x2: np.ndarray, shape: Shape4) -> np.ndarray:
         )
     return np.ascontiguousarray(x2).reshape(shape)
 
-
-def map_elementwise(x: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
-    """Apply a scalar function elementwise, keeping shape and dtype."""
-    require_rank(x, 4, "map_elementwise input")
-    out = np.vectorize(f, otypes=[x.dtype])(x)
-    return np.ascontiguousarray(out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import data as data_mod
 from . import evaluator as eval_mod
@@ -62,12 +62,6 @@ class EpochRecord:
     wall_time: float  # seconds; excluded from reproducibility comparisons
 
 
-@dataclass
-class TrainResult:
-    records: list[EpochRecord] = field(default_factory=list)
-    stop_reason: str = STOP_EPOCHS_EXHAUSTED
-
-
 def should_stop(val_history: list[float], delta: float) -> bool:
     """True once the last two validation accuracies differ by less than delta.
 
@@ -82,7 +76,7 @@ def should_stop(val_history: list[float], delta: float) -> bool:
 def _check_image_shape(net: model_mod.Network, manifest: data_mod.DatasetManifest) -> None:
     cfg = net.config
     x = data_mod.load_image(manifest.rows[0].path)
-    expected = (1, cfg.in_channels, cfg.height, cfg.width)
+    expected = (1, model_mod.IN_CHANNELS, cfg.height, cfg.width)
     if x.shape != expected:
         raise ShapeError(
             f"manifest image shape {x.shape} does not match network input {expected}"

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +26,7 @@ class TestNetworkConfig:
     def test_default_shape(self):
         cfg = model.NetworkConfig()
         assert (cfg.conv_layers, cfg.filters) == (4, 4)
-        assert (cfg.in_channels, cfg.height, cfg.width) == (3, 128, 128)
+        assert (model.IN_CHANNELS, cfg.height, cfg.width) == (3, 128, 128)
 
     def test_spatial_boundary(self):
         ok = model.NetworkConfig(conv_layers=4, height=9, width=9)
@@ -327,6 +331,61 @@ class TestWeightsFile:
         wider = model.NetworkConfig(conv_layers=2, filters=4, height=12, width=12)
         with pytest.raises(WeightsFormatError, match="conv0.weights"):
             model.load_weights(path, wider)
+
+    # Save and load share the schema order, so a roundtrip cannot notice a
+    # reordered schema; these values pin the FGN1 layout itself.
+    PINNED_ORDER = [
+        "conv0.weights", "conv0.bias", "bn0.gamma", "bn0.beta",
+        "bn0.moving_mean", "bn0.moving_var",
+        "conv1.weights", "conv1.bias", "bn1.gamma", "bn1.beta",
+        "bn1.moving_mean", "bn1.moving_var",
+        "dense.weights", "dense.bias",
+    ]
+    PINNED_SHA256 = "1193222248bb4362f437e88bf0c801d8bafe6b5e91f0fa07634f8f2fce80479c"
+
+    def _sequence_filled_net(self):
+        """build(SMALL) with every tensor, in schema order, filled from one
+        arithmetic sequence of exactly representable float32 values."""
+        net = model.build(SMALL)
+        start = 0
+        for tensor in net.state_tensors().values():
+            seq = np.arange(start, start + tensor.size)
+            tensor[...] = ((seq % 97 - 48) / 16).reshape(tensor.shape)
+            start += tensor.size
+        return net
+
+    def test_schema_order_pinned(self):
+        assert list(model.build(SMALL).state_tensors()) == self.PINNED_ORDER
+
+    def test_file_bytes_pinned(self, tmp_path):
+        path = tmp_path / "w.fgn"
+        model.save_weights(self._sequence_filled_net(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_SHA256
+
+    def test_load_reads_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "w.fgn"
+        model.save_weights(model.build(SMALL), path)
+        reads = []
+        real_read_bytes = Path.read_bytes
+
+        def counting_read_bytes(self):
+            reads.append(self)
+            return real_read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+        model.load_weights(path, SMALL)
+        assert len(reads) == 1
+
+    def test_header_covers_config(self, tmp_path):
+        header_fields = ("conv_layers", "filters", "height", "width")
+        config_fields = {f.name for f in dataclasses.fields(model.NetworkConfig)}
+        assert config_fields - {"seed"} <= set(header_fields)
+        # Every field distinct, so a swapped pair would show.
+        cfg = model.NetworkConfig(conv_layers=2, filters=3, height=13, width=11, seed=4)
+        path = tmp_path / "w.fgn"
+        model.save_weights(model.build(cfg), path)
+        from_header = model.NetworkConfig(*model.peek_weights_header(path))
+        assert dataclasses.replace(from_header, seed=cfg.seed) == cfg
 
 
 class TestCloneNetwork:

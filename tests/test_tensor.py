@@ -7,27 +7,6 @@ from forgenet import tensor
 from forgenet.errors import ShapeError
 
 
-class TestZeros:
-    def test_single_element(self):
-        out = tensor.zeros((1, 1, 1, 1))
-        assert out.shape == (1, 1, 1, 1)
-        assert out.dtype == np.float32
-        assert out[0, 0, 0, 0] == 0.0
-
-    def test_element_count(self):
-        out = tensor.zeros((2, 3, 4, 4))
-        assert out.size == 96
-        assert not out.any()
-
-    def test_zero_dimension_rejected(self):
-        with pytest.raises(ShapeError):
-            tensor.zeros((1, 3, 0, 4))
-
-    def test_negative_dimension_rejected(self):
-        with pytest.raises(ShapeError):
-            tensor.zeros((1, -2, 4, 4))
-
-
 class TestFlatten:
     def test_shape_and_order(self):
         x = np.arange(72, dtype=np.float32).reshape(2, 4, 3, 3)
@@ -64,23 +43,6 @@ class TestFlatten:
             tensor.unflatten(np.zeros((2, 9), dtype=np.float32), (2, 1, 2, 2))
 
 
-class TestMapElementwise:
-    def test_identity(self, rng):
-        x = rng.normal(size=(2, 2, 3, 3)).astype(np.float32)
-        assert np.array_equal(tensor.map_elementwise(x, lambda v: v), x)
-
-    def test_negate(self):
-        x = np.array([1.0, -2.0], dtype=np.float32).reshape(1, 1, 1, 2)
-        out = tensor.map_elementwise(x, lambda v: -v)
-        assert out.reshape(-1).tolist() == [-1.0, 2.0]
-
-    def test_relu_shape(self):
-        x = np.array([-1.0, 0.0, 3.0], dtype=np.float32).reshape(1, 1, 1, 3)
-        out = tensor.map_elementwise(x, lambda v: max(0.0, v))
-        assert out.reshape(-1).tolist() == [0.0, 0.0, 3.0]
-        assert out.dtype == np.float32
-
-
 class TestRequire:
     def test_require_rank_passes(self):
         x = np.zeros((1, 2, 3, 4), dtype=np.float32)
@@ -90,7 +52,3 @@ class TestRequire:
         with pytest.raises(ShapeError):
             tensor.require_rank(np.zeros((2, 2), dtype=np.float32), 4)
 
-    def test_require_finite_rejects_nan(self):
-        x = np.array([[np.nan]], dtype=np.float32)
-        with pytest.raises(ValueError):
-            tensor.require_finite(x)
