@@ -8,7 +8,6 @@ the point.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, replace
 
@@ -28,7 +27,6 @@ class AblationSpec:
     values: tuple[int, ...]
     base_net: model_mod.NetworkConfig
     base_train: trainer_mod.TrainConfig
-    epochs: int | None = None  # override per-point epochs; None keeps base_train.epochs
 
     def __post_init__(self) -> None:
         if self.axis not in AXES:
@@ -37,8 +35,6 @@ class AblationSpec:
             raise ConfigError("ablation values must be non-empty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigError(f"ablation values must be strictly increasing, got {self.values}")
-        if self.epochs is not None and self.epochs < 1:
-            raise ConfigError(f"epochs override must be >= 1, got {self.epochs}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +60,6 @@ def derive_configs(
             net_cfg = replace(net_cfg, filters=value)
         else:
             train_cfg = replace(train_cfg, batch_size=value)
-        if spec.epochs is not None:
-            train_cfg = replace(train_cfg, epochs=spec.epochs)
     except ConfigError as exc:
         raise ConfigError(f"{spec.axis}={value}: {exc}") from None
     return net_cfg, train_cfg
@@ -103,17 +97,9 @@ def run_ablation(
 
 
 def write_ablation_csv(rows: list[AblationRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ABLATION_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.axis,
-                    r.value,
-                    f"{r.train_acc:.9g}",
-                    f"{r.val_acc:.9g}",
-                    f"{r.test_acc:.9g}",
-                    f"{r.runtime_s:.6f}",
-                ]
-            )
+    table = [
+        [r.axis, r.value, f"{r.train_acc:.9g}", f"{r.val_acc:.9g}",
+         f"{r.test_acc:.9g}", f"{r.runtime_s:.6f}"]
+        for r in rows
+    ]
+    data_mod.write_csv(path, ABLATION_HEADER, table)

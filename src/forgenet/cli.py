@@ -1,8 +1,8 @@
 """Command-line front end: gen-synth, train, eval, ablate.
 
 Every run writes its outputs under --out with fixed file names and drops a
-run.json record (command, resolved config, seed, timestamps, version,
-output paths) next to them. Exit codes: 0 success, 1 runtime failure,
+run.json record (command, resolved config, seed (null for eval), timestamps,
+version, output paths) next to them. Exit codes: 0 success, 1 runtime failure,
 2 usage or config error. The FORGENET_LOG environment variable sets log
 verbosity (DEBUG, INFO, WARNING, ...).
 """
@@ -63,7 +63,7 @@ def _write_run_manifest(
     out: Path,
     command: str,
     config: dict,
-    seed: int,
+    seed: int | None,
     started: str,
     outputs: list[Path],
 ) -> None:
@@ -76,9 +76,8 @@ def _write_run_manifest(
         "version": f"forgenet-{__version__}",
         "outputs": [str(p) for p in outputs],
     }
-    (out / RUN_MANIFEST_NAME).write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(payload, indent=2) + "\n"
+    data_mod.write_atomic(out / RUN_MANIFEST_NAME, text.encode("utf-8"))
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -118,8 +117,10 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    started = _now()
+def _configs(
+    args: argparse.Namespace, epochs: int
+) -> tuple[model_mod.NetworkConfig, trainer_mod.TrainConfig]:
+    """The network and training configs of the flags train and ablate share."""
     net_config = model_mod.NetworkConfig(
         conv_layers=args.layers,
         filters=args.filters,
@@ -127,21 +128,30 @@ def cmd_train(args: argparse.Namespace) -> int:
         width=args.size,
         seed=args.seed,
     )
+    train_config = trainer_mod.TrainConfig(
+        epochs=epochs,
+        batch_size=args.batch,
+        lr=args.lr,
+        early_stop_delta=args.early_stop,
+        seed=args.seed,
+        loader_threads=args.threads,
+    )
+    return net_config, train_config
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    started = _now()
+    net_config, train_config = _configs(args, args.epochs)
     if args.print_params:
         print(model_mod.count_parameters(net_config))
         return EXIT_OK
     if not (args.manifest and args.val_manifest and args.out):
         raise ConfigError("train requires --manifest, --val-manifest and --out")
     out = _prepare_out(args.out)
-    train_config = trainer_mod.TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        lr=args.lr,
-        early_stop_delta=args.early_stop,
-        seed=args.seed,
-        loader_threads=args.threads,
-        checkpoint_path=str(out / "checkpoint") if args.checkpoints else None,
-    )
+    if args.checkpoints:
+        train_config = dataclasses.replace(
+            train_config, checkpoint_path=str(out / "checkpoint")
+        )
     train_manifest = data_mod.read_manifest(args.manifest, split="train")
     val_manifest = data_mod.read_manifest(args.val_manifest, split="val")
     net = model_mod.build(net_config)
@@ -211,13 +221,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"({share:.0%} of frames voted original)"
             )
         verdict_path = out / VIDEO_VERDICTS_NAME
-        with open(verdict_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("video_id,truth,predicted,frames_original,frames_fake\n")
-            for v in verdicts:
-                fh.write(
-                    f"{v.video_id},{v.truth},{v.predicted},"
-                    f"{v.frames_original},{v.frames_fake}\n"
-                )
+        table = [
+            [v.video_id, v.truth, v.predicted, v.frames_original, v.frames_fake]
+            for v in verdicts
+        ]
+        header = ["video_id", "truth", "predicted", "frames_original", "frames_fake"]
+        data_mod.write_csv(verdict_path, header, table)
         outputs.append(verdict_path)
         metrics["video_accuracy"] = accuracy
         metrics["missed_videos"] = len(misses)
@@ -235,10 +244,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ForgenetError(f"no predictions for video {args.histogram!r}")
         counts = eval_mod.probability_histogram(chosen)
         hist_path = out / f"histogram_{args.histogram}.csv"
-        with open(hist_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("bin_start,bin_end,count\n")
-            for i, count in enumerate(counts):
-                fh.write(f"{i / 10:.1f},{(i + 1) / 10:.1f},{count}\n")
+        table = [[f"{i / 10:.1f}", f"{(i + 1) / 10:.1f}", n] for i, n in enumerate(counts)]
+        data_mod.write_csv(hist_path, ["bin_start", "bin_end", "count"], table)
         outputs.append(hist_path)
         print(f"histogram for {args.histogram}: {counts.tolist()}")
 
@@ -251,7 +258,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "predictions": args.predictions,
         "histogram": args.histogram,
     }
-    _write_run_manifest(out, "eval", config, args.seed, started, outputs)
+    # inference is deterministic, so eval records no seed
+    _write_run_manifest(out, "eval", config, None, started, outputs)
     return EXIT_OK
 
 
@@ -261,29 +269,12 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     axis = AXIS_BY_FLAG[args.axis]
     # Batch-size and filter sweeps default to a single epoch; only the
     # depth sweep keeps the full schedule.
-    epochs_override = args.epochs
-    if epochs_override is None and axis != "layers":
-        epochs_override = 1
-    base_net = model_mod.NetworkConfig(
-        conv_layers=args.layers,
-        filters=args.filters,
-        height=args.size,
-        width=args.size,
-        seed=args.seed,
-    )
-    base_train = trainer_mod.TrainConfig(
-        batch_size=args.batch,
-        lr=args.lr,
-        early_stop_delta=args.early_stop,
-        seed=args.seed,
-        loader_threads=args.threads,
-    )
+    epochs = args.epochs
+    if epochs is None:
+        epochs = 10 if axis == "layers" else 1
+    base_net, base_train = _configs(args, epochs)
     spec = ablation_mod.AblationSpec(
-        axis=axis,
-        values=args.values,
-        base_net=base_net,
-        base_train=base_train,
-        epochs=epochs_override,
+        axis=axis, values=args.values, base_net=base_net, base_train=base_train
     )
     train_manifest = data_mod.read_manifest(args.manifest, split="train")
     val_manifest = data_mod.read_manifest(args.val_manifest, split="val")
@@ -300,7 +291,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     config = {
         "axis": axis,
         "values": list(args.values),
-        "epochs": epochs_override,
         "network": dataclasses.asdict(base_net),
         "training": dataclasses.asdict(base_train),
     }
@@ -326,19 +316,22 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen_synth)
 
-    train = sub.add_parser("train", help="train a detector")
+    # train and ablate build their configs from the same flags (_configs)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--layers", type=int, default=4)
+    shared.add_argument("--filters", type=int, default=4)
+    shared.add_argument("--size", type=int, default=128)
+    shared.add_argument("--batch", type=int, default=128)
+    shared.add_argument("--lr", type=float, default=0.001)
+    shared.add_argument("--early-stop", type=float, default=0.01)
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--threads", type=int, default=1)
+
+    train = sub.add_parser("train", parents=[shared], help="train a detector")
     train.add_argument("--manifest")
     train.add_argument("--val-manifest")
     train.add_argument("--out")
-    train.add_argument("--layers", type=int, default=4)
-    train.add_argument("--filters", type=int, default=4)
-    train.add_argument("--size", type=int, default=128)
-    train.add_argument("--batch", type=int, default=128)
-    train.add_argument("--lr", type=float, default=0.001)
     train.add_argument("--epochs", type=int, default=10)
-    train.add_argument("--early-stop", type=float, default=0.01)
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--threads", type=int, default=1)
     train.add_argument("--checkpoints", action="store_true")
     train.add_argument(
         "--print-params",
@@ -355,26 +348,19 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--level", choices=("frame", "video"), default="frame")
     ev.add_argument("--histogram", metavar="VIDEO_ID")
     ev.add_argument("--batch", type=int, default=128)
-    ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--threads", type=int, default=1)
     ev.add_argument("--out", required=True)
     ev.set_defaults(func=cmd_eval)
 
-    ab = sub.add_parser("ablate", help="sweep one axis and record accuracies")
+    ab = sub.add_parser(
+        "ablate", parents=[shared], help="sweep one axis and record accuracies"
+    )
     ab.add_argument("--axis", choices=tuple(AXIS_BY_FLAG), required=True)
     ab.add_argument("--values", type=_csv_ints, required=True)
-    ab.add_argument("--epochs", type=int, default=None)
+    ab.add_argument("--epochs", type=int, help="default: 10 for layers, 1 otherwise")
     ab.add_argument("--manifest", required=True)
     ab.add_argument("--val-manifest", required=True)
     ab.add_argument("--test-manifest", required=True)
-    ab.add_argument("--layers", type=int, default=4)
-    ab.add_argument("--filters", type=int, default=4)
-    ab.add_argument("--size", type=int, default=128)
-    ab.add_argument("--batch", type=int, default=128)
-    ab.add_argument("--lr", type=float, default=0.001)
-    ab.add_argument("--early-stop", type=float, default=0.01)
-    ab.add_argument("--seed", type=int, default=0)
-    ab.add_argument("--threads", type=int, default=1)
     ab.add_argument("--out", required=True)
     ab.set_defaults(func=cmd_ablate)
 

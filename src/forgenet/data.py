@@ -5,6 +5,9 @@ frames described by a manifest CSV with header
 `path,label,video_id,frame_index`; frame extraction and face cropping are
 upstream concerns. Labels are 0 = original, 1 = fake.
 
+Every CSV the package writes goes through `write_csv`, every CSV it reads
+through `read_csv`, and every output but PPM frames through `write_atomic`.
+
 The synthetic generator produces desk-scale stand-in data with the same
 layout: per-video smooth color gradients, where fake videos additionally
 carry a small high-frequency checker patch (a learnable class signal).
@@ -14,6 +17,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,29 +56,61 @@ class DatasetManifest:
         return len(self.rows)
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to a temporary file beside `path`, then replace `path`
+    with it: a write that fails partway leaves the earlier file as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_csv(path, header: list[str], rows: Iterable[Sequence]) -> None:
+    """Write utf-8 CSV with "\\n" line ends, quoting only fields that need it."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, text.getvalue().encode("utf-8"))
+
+
+def read_csv(source: str, header: list[str], empty: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line_no, record) for each non-blank record of CSV text.
+
+    The first record must equal `header` and every later one must have as
+    many fields, or ManifestError names the 1-based line; `empty` is the
+    message for text without a header."""
+    reader = csv.reader(io.StringIO(source))
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise ManifestError(f"line 1: {empty}") from None
+    if first != header:
+        raise ManifestError(f"line 1: bad header {first!r}, expected {header!r}")
+    width = len(header)
+    for line_no, record in enumerate(reader, start=2):
+        if not record:
+            continue
+        if len(record) != width:
+            raise ManifestError(
+                f"line {line_no}: expected {width} fields, got {len(record)}"
+            )
+        yield line_no, record
+
+
 def parse_manifest(source: str, split: str = "train") -> DatasetManifest:
     """Parse manifest CSV text; rows keep file order.
 
     Raises ManifestError with a 1-based line number for a bad header,
     malformed row, non-{0,1} label, or duplicate (video_id, frame_index).
     """
-    reader = csv.reader(io.StringIO(source))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ManifestError("line 1: empty manifest, expected header") from None
-    if header != MANIFEST_HEADER:
-        raise ManifestError(
-            f"line 1: bad header {header!r}, expected {MANIFEST_HEADER!r}"
-        )
     rows: list[ManifestRow] = []
     seen: set[tuple[str, int]] = set()
-    for line_no, record in enumerate(reader, start=2):
-        if not record:
-            continue
-        if len(record) != 4:
-            raise ManifestError(f"line {line_no}: expected 4 fields, got {len(record)}")
-        path, label_text, video_id, frame_text = record
+    records = read_csv(source, MANIFEST_HEADER, "empty manifest, expected header")
+    for line_no, (path, label_text, video_id, frame_text) in records:
         if not path:
             raise ManifestError(f"line {line_no}: empty path")
         if label_text not in ("0", "1"):
@@ -106,11 +143,8 @@ def read_manifest(path, split: str = "train") -> DatasetManifest:
 
 
 def write_manifest(manifest: DatasetManifest, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MANIFEST_HEADER)
-        for row in manifest.rows:
-            writer.writerow([row.path, row.label, row.video_id, row.frame_index])
+    table = [[r.path, r.label, r.video_id, r.frame_index] for r in manifest.rows]
+    write_csv(path, MANIFEST_HEADER, table)
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:

@@ -9,8 +9,6 @@ both as counts and as row-normalized rates.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -179,31 +177,16 @@ def predict_manifest(
 
 
 def write_predictions(records: list[PredictionRecord], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PREDICTIONS_HEADER)
-        for r in records:
-            # repr keeps the shortest exact decimal form, so a written log
-            # rescores identically to the in-memory records
-            writer.writerow([r.video_id, r.frame_index, r.truth, repr(r.probability)])
+    # repr keeps the shortest exact decimal form, so a written log rescores
+    # identically to the in-memory records
+    table = [[r.video_id, r.frame_index, r.truth, repr(r.probability)] for r in records]
+    data_mod.write_csv(path, PREDICTIONS_HEADER, table)
 
 
 def read_predictions(path) -> list[PredictionRecord]:
-    reader = csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8")))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ManifestError("line 1: empty prediction log") from None
-    if header != PREDICTIONS_HEADER:
-        raise ManifestError(
-            f"line 1: bad header {header!r}, expected {PREDICTIONS_HEADER!r}"
-        )
+    text = Path(path).read_text(encoding="utf-8")
     records: list[PredictionRecord] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ManifestError(f"line {line_no}: expected 4 fields, got {len(row)}")
+    for line_no, row in data_mod.read_csv(text, PREDICTIONS_HEADER, "empty prediction log"):
         try:
             truth = int(row[2])
             probability = float(row[3])
@@ -230,6 +213,8 @@ def format_confusion(cm: ConfusionMatrix) -> str:
 
 def write_metrics_jsonl(metrics: dict, path) -> None:
     """One JSON object per metric: {"metric": name, "value": value}."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for name, value in metrics.items():
-            fh.write(json.dumps({"metric": name, "value": value}) + "\n")
+    text = "".join(
+        json.dumps({"metric": name, "value": value}) + "\n"
+        for name, value in metrics.items()
+    )
+    data_mod.write_atomic(path, text.encode("utf-8"))

@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import layers as L
+from .data import write_atomic
 from .errors import ConfigError, ContractError, ShapeError, WeightsFormatError
 from .tensor import flatten, require_rank, unflatten
 
@@ -243,7 +244,7 @@ def save_weights(net: Network, destination) -> None:
         blob += struct.pack("<I", tensor.ndim)
         blob += struct.pack(f"<{tensor.ndim}I", *tensor.shape)
         blob += np.ascontiguousarray(tensor, dtype="<f4").tobytes()
-    Path(destination).write_bytes(bytes(blob))
+    write_atomic(destination, bytes(blob))
 
 
 def _parse_header(data: bytes) -> tuple[int, int, int, int]:

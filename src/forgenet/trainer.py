@@ -175,18 +175,9 @@ METRICS_HEADER = ["epoch", "train_loss", "train_acc", "val_acc", "wall_time"]
 
 
 def write_metrics_csv(records: list[EpochRecord], path) -> None:
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRICS_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.epoch,
-                    f"{r.train_loss:.9g}",
-                    f"{r.train_acc:.9g}",
-                    f"{r.val_acc:.9g}",
-                    f"{r.wall_time:.6f}",
-                ]
-            )
+    table = [
+        [r.epoch, f"{r.train_loss:.9g}", f"{r.train_acc:.9g}",
+         f"{r.val_acc:.9g}", f"{r.wall_time:.6f}"]
+        for r in records
+    ]
+    data_mod.write_csv(path, METRICS_HEADER, table)

@@ -7,9 +7,9 @@ NET_CFG = model.NetworkConfig(conv_layers=2, filters=2, height=24, width=24, see
 TRAIN_CFG = trainer.TrainConfig(epochs=1, batch_size=16, early_stop_delta=0.0)
 
 
-def spec_for(axis, values, **kwargs):
+def spec_for(axis, values):
     return ablation.AblationSpec(
-        axis=axis, values=values, base_net=NET_CFG, base_train=TRAIN_CFG, **kwargs
+        axis=axis, values=values, base_net=NET_CFG, base_train=TRAIN_CFG
     )
 
 
@@ -32,10 +32,6 @@ class TestAblationSpec:
         with pytest.raises(ConfigError, match="increasing"):
             spec_for("batch_size", (128, 64))
 
-    def test_bad_epochs_override_rejected(self):
-        with pytest.raises(ConfigError, match="epochs"):
-            spec_for("filters", (2, 4), epochs=0)
-
 
 class TestDeriveConfigs:
     def test_layers_axis_replaces_depth_only(self):
@@ -53,12 +49,6 @@ class TestDeriveConfigs:
         net_cfg, train_cfg = ablation.derive_configs(spec_for("batch_size", (64, 128)), 64)
         assert net_cfg == NET_CFG
         assert train_cfg.batch_size == 64
-
-    def test_epochs_override_applies(self):
-        _, train_cfg = ablation.derive_configs(
-            spec_for("batch_size", (64, 128), epochs=2), 64
-        )
-        assert train_cfg.epochs == 2
 
     def test_invalid_value_error_names_the_point(self):
         # 12 valid conv layers need at least 25x25 input; the base is 24x24

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -157,6 +158,28 @@ class TestEval:
         assert verdicts[0] == "video_id,truth,predicted,frames_original,frames_fake"
         assert "sly,1,0,53,47" in verdicts
 
+    def test_video_id_with_comma_stays_one_field(self, tmp_path):
+        log = tmp_path / "log.csv"
+        evaluator.write_predictions([PredictionRecord("clip,a", 0, 1, 0.9)], log)
+        out = tmp_path / "o"
+        code = cli.main([
+            "eval", "--predictions", str(log), "--level", "video", "--out", str(out),
+        ])
+        assert code == 0
+        with open(out / "videos.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1] == ["clip,a", "1", "1", "0", "1"]
+
+    def test_run_manifest_records_no_seed(self, tmp_path):
+        log = tmp_path / "log.csv"
+        evaluator.write_predictions([PredictionRecord("v", 0, 1, 0.9)], log)
+        out = tmp_path / "o"
+        assert cli.main(["eval", "--predictions", str(log), "--out", str(out)]) == 0
+        assert json.loads((out / "run.json").read_text())["seed"] is None
+        assert cli.main([
+            "eval", "--predictions", str(log), "--seed", "3", "--out", str(out),
+        ]) == 2
+
     def test_histogram_csv(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
         records = [PredictionRecord("v", i, 1, p)
@@ -216,6 +239,56 @@ class TestAblate:
         assert lines[0] == "axis,value,train_acc,val_acc,test_acc,runtime_s"
         assert len(lines) == 3
         assert "filters=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "axis, flags, epochs",
+        [
+            ("layers", [], 10),
+            ("filters", [], 1),
+            ("layers", ["--epochs", "2"], 2),
+            ("filters", ["--epochs", "2"], 2),
+        ],
+    )
+    def test_epochs_rule(self, synth_root, tmp_path, axis, flags, epochs):
+        root, _ = synth_root
+        out = tmp_path / "ab"
+        code = cli.main([
+            "ablate", "--axis", axis, "--values", "1", *flags,
+            "--manifest", str(root / "train" / "manifest.csv"),
+            "--val-manifest", str(root / "val" / "manifest.csv"),
+            "--test-manifest", str(root / "test" / "manifest.csv"),
+            "--layers", "1", "--filters", "1", "--size", "24", "--batch", "16",
+            "--out", str(out),
+        ])
+        assert code == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert config["training"]["epochs"] == epochs
+        assert "epochs" not in config
+
+    def test_shares_train_flags(self, synth_root, tmp_path):
+        root, _ = synth_root
+        shared = [
+            "--layers", "1", "--filters", "2", "--size", "24", "--batch", "32",
+            "--lr", "0.01", "--early-stop", "0", "--seed", "7", "--threads", "2",
+            "--epochs", "1",
+            "--manifest", str(root / "train" / "manifest.csv"),
+            "--val-manifest", str(root / "val" / "manifest.csv"),
+        ]
+        assert cli.main(["train", *shared, "--out", str(tmp_path / "t")]) == 0
+        assert cli.main([
+            "ablate", "--axis", "batch", "--values", "32", *shared,
+            "--test-manifest", str(root / "test" / "manifest.csv"),
+            "--out", str(tmp_path / "a"),
+        ]) == 0
+        trained, ablated = (
+            json.loads((tmp_path / name / "run.json").read_text())["config"]
+            for name in ("t", "a")
+        )
+        assert trained["network"] == ablated["network"]
+        assert trained["network"] == {
+            "conv_layers": 1, "filters": 2, "height": 24, "width": 24, "seed": 7,
+        }
+        assert trained["training"] == ablated["training"]
 
     def test_unknown_axis_is_usage_error(self, tmp_path):
         code = cli.main([

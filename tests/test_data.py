@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forgenet import data
+from forgenet import data, evaluator, model
 from forgenet.errors import ConfigError, ContractError, DecodeError, ManifestError
 
 GOOD_MANIFEST = (
@@ -71,6 +71,40 @@ class TestReadManifest:
         data.write_manifest(original, tmp_path / "m.csv")
         again = data.parse_manifest((tmp_path / "m.csv").read_text())
         assert again.rows == original.rows
+
+
+class TestAtomicWrite:
+    WRITERS = {
+        "write_csv": lambda path: data.write_csv(path, ["a", "b"], [(1, 2)] * 500),
+        "save_weights": lambda path: model.save_weights(
+            model.build(model.NetworkConfig(conv_layers=1, filters=1, height=8, width=8)),
+            path,
+        ),
+        "write_metrics_jsonl": lambda path: evaluator.write_metrics_jsonl(
+            {f"m{i}": i for i in range(50)}, path
+        ),
+    }
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "out"
+        path.write_bytes(b"earlier contents")
+        real_write_bytes = Path.write_bytes
+
+        def half_then_fail(self, blob):
+            real_write_bytes(self, blob[: len(blob) // 2])
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+        with pytest.raises(OSError, match="No space"):
+            self.WRITERS[writer](path)
+        monkeypatch.undo()
+        assert path.read_bytes() == b"earlier contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+        self.WRITERS[writer](path)
+        assert path.read_bytes() != b"earlier contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 class TestLoadImage:
