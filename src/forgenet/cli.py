@@ -2,7 +2,8 @@
 
 Every run writes its outputs under --out with fixed file names and drops a
 run.json record (command, resolved config, seed (null for eval), timestamps,
-version, output paths) next to them. Exit codes: 0 success, 1 runtime failure,
+version, output paths) next to them; a run replaces the run.json of an earlier
+run into the same --out. Exit codes: 0 success, 1 runtime failure,
 2 usage or config error. The FORGENET_LOG environment variable sets log
 verbosity (DEBUG, INFO, WARNING, ...).
 """

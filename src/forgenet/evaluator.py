@@ -188,6 +188,10 @@ def read_predictions(path) -> list[PredictionRecord]:
     records: list[PredictionRecord] = []
     for line_no, row in data_mod.read_csv(text, PREDICTIONS_HEADER, "empty prediction log"):
         try:
+            frame_index = int(row[1])
+        except ValueError:
+            raise ManifestError(f"line {line_no}: bad frame_index {row[1]!r}") from None
+        try:
             truth = int(row[2])
             probability = float(row[3])
         except ValueError:
@@ -196,7 +200,7 @@ def read_predictions(path) -> list[PredictionRecord]:
             raise ManifestError(f"line {line_no}: truth must be 0 or 1, got {truth}")
         if not 0.0 <= probability <= 1.0:
             raise ManifestError(f"line {line_no}: probability out of [0,1]")
-        records.append(PredictionRecord(row[0], int(row[1]), truth, probability))
+        records.append(PredictionRecord(row[0], frame_index, truth, probability))
     return records
 
 

@@ -76,10 +76,9 @@ class LayerGradients:
 
 @dataclass
 class BatchNormCache:
-    training: bool
-    xhat: np.ndarray | None = None
-    var: np.ndarray | None = None
-    inv_std: np.ndarray | None = None
+    xhat: np.ndarray
+    var: np.ndarray
+    inv_std: np.ndarray
 
 
 # Conv works through the batch in blocks of at most PATCH_BYTES of patch
@@ -213,48 +212,44 @@ def conv2d_backward(
 
 def batchnorm_forward(
     x: np.ndarray, layer: BatchNormLayer, training: bool
-) -> tuple[np.ndarray, BatchNormCache]:
+) -> tuple[np.ndarray, BatchNormCache | None]:
     """Per-channel standardization over (n, h, w), then affine gamma/beta.
 
-    Training mode normalizes with batch statistics (biased variance) and
-    updates the moving statistics in place:
-    moving <- momentum * moving + (1 - momentum) * batch.
-    Inference mode uses the moving statistics and mutates nothing.
+    Training mode normalizes with batch statistics (biased variance),
+    updates the moving statistics in place
+    (moving <- momentum * moving + (1 - momentum) * batch) and returns the
+    backward cache. Inference mode uses the moving statistics, mutates
+    nothing and returns None for the cache.
     """
     require_rank(x, 4, "batchnorm input")
-    c = x.shape[1]
+    n, c, h, w = x.shape
     if c != layer.channels:
         raise ShapeError(f"batchnorm input has {c} channels, layer has {layer.channels}")
-    gamma = layer.gamma.reshape(1, c, 1, 1)
-    beta = layer.beta.reshape(1, c, 1, 1)
-
-    if not training:
-        inv_std = 1.0 / np.sqrt(layer.moving_var + layer.epsilon)
-        xhat = (x - layer.moving_mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
-        return gamma * xhat + beta, BatchNormCache(training=False)
-
-    n, _, h, w = x.shape
-    if n * h * w < 2:
+    if training and n * h * w < 2:
         raise DegenerateBatchError(
             f"batchnorm training mode needs >= 2 samples per channel, got {n * h * w}"
         )
-    mean = x.mean(axis=(0, 2, 3))
-    var = x.var(axis=(0, 2, 3))
+    if training:
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    else:
+        mean, var = layer.moving_mean, layer.moving_var
     inv_std = 1.0 / np.sqrt(var + layer.epsilon)
     xhat = (x - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
-    out = gamma * xhat + beta
+    out = layer.gamma.reshape(1, c, 1, 1) * xhat + layer.beta.reshape(1, c, 1, 1)
+    if not training:
+        return out, None
 
     m = layer.momentum
     layer.moving_mean[:] = m * layer.moving_mean + (1.0 - m) * mean
     layer.moving_var[:] = m * layer.moving_var + (1.0 - m) * var
-    return out, BatchNormCache(training=True, xhat=xhat, var=var, inv_std=inv_std)
+    return out, BatchNormCache(xhat=xhat, var=var, inv_std=inv_std)
 
 
 def batchnorm_backward(
-    cache: BatchNormCache, layer: BatchNormLayer, upstream: np.ndarray
+    cache: BatchNormCache | None, layer: BatchNormLayer, upstream: np.ndarray
 ) -> LayerGradients:
     """Full training-mode gradient, including the mean/variance dependence."""
-    if not cache.training:
+    if cache is None:
         raise ContractError("batchnorm_backward requires a training-mode cache")
     if np.any(cache.var == 0.0):
         # The normalized output is constant in every direction that keeps the
@@ -289,7 +284,8 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Subgradient 0 at exactly 0."""
+    """Subgradient 0 at exactly 0. `x` may be the ReLU's input or its
+    output: both are positive at exactly the same elements."""
     if x.shape != upstream.shape:
         raise ShapeError(f"relu upstream shape {upstream.shape} != input {x.shape}")
     return upstream * (x > 0)

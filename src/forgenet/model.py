@@ -5,7 +5,8 @@ padding, stride 1), each followed by batch normalization and ReLU, then
 flatten and a width-1 dense head with sigmoid output: 58,221 stored
 parameters at 3x128x128 input (IN_CHANNELS is 3: `data.load_image`
 decodes only RGB PPM). Moving BN statistics count as stored parameters but
-never receive gradients.
+never receive gradients. A training forward keeps, for backward, each
+block's input and its normalised values; an inference forward keeps nothing.
 
 Weights file format (all integers little-endian u32, floats little-endian
 float32, no padding):
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import copy
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -147,21 +148,23 @@ def build(config: NetworkConfig) -> Network:
 
 @dataclass
 class ForwardCache:
-    training: bool
-    conv_inputs: list[np.ndarray] = field(default_factory=list)
-    bn_caches: list[L.BatchNormCache] = field(default_factory=list)
-    relu_inputs: list[np.ndarray] = field(default_factory=list)
-    flat_shape: tuple[int, int, int, int] | None = None
-    dense_input: np.ndarray | None = None
-    probs: np.ndarray | None = None
+    """What backward reads of a training forward. `activations` holds the
+    image batch, then each block's ReLU output: block i's conv input is
+    activations[i] and its ReLU output activations[i + 1]."""
+
+    activations: list[np.ndarray]
+    bn_caches: list[L.BatchNormCache]
+    probs: np.ndarray
 
 
 def forward(
     net: Network, x: np.ndarray, training: bool
-) -> tuple[np.ndarray, ForwardCache]:
+) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the network; returns clamped probabilities and the backward cache.
 
-    Training mode updates BN moving statistics; inference mode is pure.
+    Training mode updates BN moving statistics and keeps each block's input
+    and normalised values for backward. Inference mode is pure, keeps
+    nothing and returns None for the cache.
     """
     require_rank(x, 4, "network input")
     cfg = net.config
@@ -170,33 +173,27 @@ def forward(
         raise ShapeError(
             f"network input shape {x.shape[1:]} != configured {expected}"
         )
-    cache = ForwardCache(training=training)
+    activations, bn_caches = [x], []
     h = x
     for conv, bn in zip(net.convs, net.bns):
-        cache.conv_inputs.append(h)
-        h = L.conv2d_forward(h, conv)
-        h, bn_cache = L.batchnorm_forward(h, bn, training=training)
-        cache.bn_caches.append(bn_cache)
-        cache.relu_inputs.append(h)
+        h, bn_cache = L.batchnorm_forward(L.conv2d_forward(h, conv), bn, training)
         h = L.relu_forward(h)
-    cache.flat_shape = h.shape
-    flat = flatten(h)
-    cache.dense_input = flat
-    logits = L.dense_forward(flat, net.dense)
-    probs = L.sigmoid(logits)
-    cache.probs = probs
-    return probs, cache
+        if training:
+            activations.append(h)
+            bn_caches.append(bn_cache)
+    probs = L.sigmoid(L.dense_forward(flatten(h), net.dense))
+    return probs, ForwardCache(activations, bn_caches, probs) if training else None
 
 
 def backward(
-    net: Network, cache: ForwardCache, labels: np.ndarray
+    net: Network, cache: ForwardCache | None, labels: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Gradients of the mean BCE loss for every trainable parameter.
 
     Starts from the fused sigmoid+BCE logit gradient of `bce_loss`, so the
     sigmoid never appears as a separate backward step.
     """
-    if not cache.training or cache.probs is None:
+    if cache is None:
         raise ContractError("backward requires the cache of a training-mode forward")
     p = cache.probs
     y = np.asarray(labels)
@@ -204,20 +201,20 @@ def backward(
         raise ContractError(f"labels shape {y.shape} != batch shape {p.shape}")
     _, d_logits = L.bce_loss(p, y)
 
+    acts = cache.activations
     grads: dict[str, np.ndarray] = {}
-    dg = L.dense_backward(cache.dense_input, net.dense, d_logits)
+    dg = L.dense_backward(flatten(acts[-1]), net.dense, d_logits)
     grads["dense.weights"] = dg.d_weights
     grads["dense.bias"] = dg.d_bias
-    d = unflatten(dg.d_input, cache.flat_shape)
+    d = unflatten(dg.d_input, acts[-1].shape)
     for i in reversed(range(len(net.convs))):
-        d = L.relu_backward(cache.relu_inputs[i], d)
+        # The ReLU output is positive exactly where its input is.
+        d = L.relu_backward(acts[i + 1], d)
         bg = L.batchnorm_backward(cache.bn_caches[i], net.bns[i], d)
         grads[f"bn{i}.gamma"] = bg.d_gamma
         grads[f"bn{i}.beta"] = bg.d_beta
         # Block 0's input is the image batch; nothing reads its gradient.
-        cg = L.conv2d_backward(
-            cache.conv_inputs[i], net.convs[i], bg.d_input, input_grad=i > 0
-        )
+        cg = L.conv2d_backward(acts[i], net.convs[i], bg.d_input, input_grad=i > 0)
         grads[f"conv{i}.weights"] = cg.d_weights
         grads[f"conv{i}.bias"] = cg.d_bias
         d = cg.d_input

@@ -282,6 +282,12 @@ class TestPredictionLogIO:
         with pytest.raises(ManifestError, match="line 2"):
             evaluator.read_predictions(path)
 
+    def test_bad_frame_index_names_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("video_id,frame_index,truth,probability\nv,x,1,0.5\n")
+        with pytest.raises(ManifestError, match="line 2: bad frame_index 'x'"):
+            evaluator.read_predictions(path)
+
     def test_out_of_range_probability_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("video_id,frame_index,truth,probability\nv,0,1,1.5\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,30 @@ class TestForward:
         net = model.build(SMALL)
         with pytest.raises(ShapeError):
             model.forward(net, np.zeros((1, 3, 10, 12), np.float32), training=False)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_keeps_only_what_backward_reads(self, rng, training):
+        # Training keeps each block's output and its normalised values (about
+        # 2x the block outputs); inference keeps nothing past the return.
+        config = model.NetworkConfig(conv_layers=3, height=32, width=32, seed=3)
+        net = model.build(config)
+        x = rng.uniform(size=(16, 3, 32, 32)).astype(np.float32)
+        block_bytes = sum(
+            x.shape[0] * config.filters * (32 - 2 * i) ** 2 * x.itemsize
+            for i in range(1, config.conv_layers + 1)
+        )
+        model.forward(net, x, training)  # one-off allocations happen here
+        tracemalloc.start()
+        try:
+            result = model.forward(net, x, training)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result[0].shape == (16,)
+        if training:
+            assert held <= 2.1 * block_bytes
+        else:
+            assert held < 64 * 1024
 
 
 class TestBackward:
