@@ -189,8 +189,7 @@ def _eval_records(args: argparse.Namespace) -> list[eval_mod.PredictionRecord]:
         return eval_mod.read_predictions(args.predictions)
     if not (args.weights and args.manifest):
         raise ConfigError("eval requires --weights and --manifest, or --predictions")
-    config = model_mod.NetworkConfig(*model_mod.peek_weights_header(args.weights))
-    net = model_mod.load_weights(args.weights, config)
+    net = model_mod.load_weights(args.weights)
     manifest = data_mod.read_manifest(args.manifest, split="test")
     return eval_mod.predict_manifest(net, manifest, args.batch, args.threads)
 
@@ -245,7 +244,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ForgenetError(f"no predictions for video {args.histogram!r}")
         counts = eval_mod.probability_histogram(chosen)
         hist_path = out / f"histogram_{args.histogram}.csv"
-        table = [[f"{i / 10:.1f}", f"{(i + 1) / 10:.1f}", n] for i, n in enumerate(counts)]
+        bins = eval_mod.HISTOGRAM_BINS
+        table = [
+            [f"{i / bins:.1f}", f"{(i + 1) / bins:.1f}", n] for i, n in enumerate(counts)
+        ]
         data_mod.write_csv(hist_path, ["bin_start", "bin_end", "count"], table)
         outputs.append(hist_path)
         print(f"histogram for {args.histogram}: {counts.tolist()}")

@@ -136,13 +136,10 @@ def video_metrics(
     return accuracy, _confusion(truths, predicted), verdicts
 
 
-def probability_histogram(
-    records: list[PredictionRecord], bins: int = HISTOGRAM_BINS
-) -> np.ndarray:
-    """Counts over equal bins of [0,1]; bin i covers [i/bins, (i+1)/bins),
-    with the final bin closed so 1.0 is counted."""
-    if bins < 1:
-        raise ContractError(f"bins must be >= 1, got {bins}")
+def probability_histogram(records: list[PredictionRecord]) -> np.ndarray:
+    """Counts over HISTOGRAM_BINS equal bins of [0,1]; bin i covers
+    [i/bins, (i+1)/bins), with the final bin closed so 1.0 is counted."""
+    bins = HISTOGRAM_BINS
     counts = np.zeros(bins, dtype=np.int64)
     if not records:
         return counts

@@ -125,19 +125,31 @@ def _im2col(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
 
 
 def _patch_buffer(
-    x: np.ndarray, blocks: list[tuple[slice, slice]], wo: int, dtype
+    x: np.ndarray, blocks: list[tuple[slice, slice]], wo: int
 ) -> np.ndarray:
     """Flat buffer large enough for the patch matrix of any of the blocks."""
     outputs = max((s.stop - s.start) * (r.stop - r.start) for s, r in blocks)
-    return np.empty(outputs * x.shape[1] * KERNEL * KERNEL * wo, dtype=dtype)
+    return np.empty(outputs * x.shape[1] * KERNEL * KERNEL * wo, dtype=x.dtype)
+
+
+def _correlate(x: np.ndarray, wmat: np.ndarray, out: np.ndarray) -> None:
+    """Fill the C-contiguous (n, k, h-2, w-2) `out` with the valid 3x3
+    correlation of the (n, c, h, w) `x` with the (k, c*9) `wmat`: one GEMM
+    per block (see PATCH_BYTES), `wmat` times the block's patch matrix,
+    written straight into `out`."""
+    _, k, ho, wo = out.shape
+    blocks = _blocks(x, ho, wo)
+    buf = _patch_buffer(x, blocks, wo)
+    for samples, rows in blocks:
+        cols = _im2col(x[samples, :, rows.start : rows.stop + KERNEL - 1], buf)
+        # A band of whole rows of a C-contiguous array reshapes to a view.
+        np.matmul(wmat, cols, out=out[samples, :, rows].reshape(len(cols), k, -1))
 
 
 def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     """out(i,f,y,x) = bias(f) + sum_{c,dy,dx} w(f,c,dy,dx) * x(i,c,y+dy,x+dx).
 
-    One GEMM per block (see PATCH_BYTES), weights (k, c*9) times the
-    block's patch matrix, written straight into the C-contiguous
-    (n, k, ho, wo) output.
+    The (n, k, ho, wo) output is C-contiguous; see _correlate.
     """
     require_rank(x, 4, "conv input")
     n, c, h, w = x.shape
@@ -147,16 +159,10 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
         raise ShapeError(
             f"conv input has {c} channels, layer expects {layer.in_channels}"
         )
-    ho, wo = h - KERNEL + 1, w - KERNEL + 1
     k = layer.filters
     wmat = layer.weights.reshape(k, -1)
-    out = np.empty((n, k, ho, wo), dtype=np.result_type(wmat, x))
-    blocks = _blocks(x, ho, wo)
-    buf = _patch_buffer(x, blocks, wo, x.dtype)
-    for samples, rows in blocks:
-        cols = _im2col(x[samples, :, rows.start : rows.stop + KERNEL - 1], buf)
-        # A band of whole rows of a C-contiguous array reshapes to a view.
-        np.matmul(wmat, cols, out=out[samples, :, rows].reshape(len(cols), k, -1))
+    out = np.empty((n, k, h - KERNEL + 1, w - KERNEL + 1), np.result_type(wmat, x))
+    _correlate(x, wmat, out)
     out += layer.bias.reshape(1, k, 1, 1)
     return out
 
@@ -166,10 +172,14 @@ def conv2d_backward(
 ) -> LayerGradients:
     """Gradients of conv2d_forward under sum(upstream * output).
 
-    Works block by block like the forward pass and rebuilds each patch
-    matrix from `x` rather than keeping it from the forward pass. With
-    `input_grad=False` (the first block, whose input is the image) the
-    patch-gradient GEMM and col2im are skipped and d_input is None.
+    d_weights works block by block like the forward pass and rebuilds each
+    patch matrix from `x` rather than keeping it from the forward pass.
+    d_input is itself a valid correlation: that of the upstream, zero-padded
+    by 2, with each kernel rotated 180 degrees and the in/out channel axes
+    swapped, d_x(i,c,y,x) = sum_{f,dy,dx} w(f,c,2-dy,2-dx) *
+    pad(upstream)(i,f,y+dy,x+dx) (Dumoulin & Visin 2016, arXiv 1603.07285,
+    section 4). With `input_grad=False` (the first block, whose input is the
+    image) it is skipped and d_input is None.
     """
     require_rank(x, 4, "conv input")
     require_rank(upstream, 4, "conv upstream")
@@ -181,27 +191,19 @@ def conv2d_backward(
             f"conv upstream shape {upstream.shape} != forward output "
             f"shape {(n, k, ho, wo)}"
         )
-    wmat = layer.weights.reshape(k, -1)
-    d_weights = np.zeros(wmat.shape, dtype=np.result_type(upstream, x))
-    d_input = np.zeros_like(x) if input_grad else None
+    d_weights = np.zeros((k, c * KERNEL * KERNEL), dtype=np.result_type(upstream, x))
     blocks = _blocks(x, ho, wo)
-    buf = _patch_buffer(x, blocks, wo, x.dtype)
-    if input_grad:
-        dbuf = _patch_buffer(x, blocks, wo, np.result_type(wmat, upstream))
+    buf = _patch_buffer(x, blocks, wo)
     for samples, rows in blocks:
-        r0, r1 = rows.start, rows.stop
-        cols = _im2col(x[samples, :, r0 : r1 + KERNEL - 1], buf)
+        cols = _im2col(x[samples, :, rows.start : rows.stop + KERNEL - 1], buf)
         up = upstream[samples, :, rows].reshape(len(cols), k, -1)
         d_weights += np.matmul(up, cols.transpose(0, 2, 1)).sum(axis=0)
-        if not input_grad:
-            continue
-        dcols = dbuf[: cols.size].reshape(cols.shape)
-        np.matmul(wmat.T, up, out=dcols)
-        dcols = dcols.reshape(len(cols), c, KERNEL, KERNEL, r1 - r0, wo)
-        d_in = d_input[samples]
-        for dy in range(KERNEL):
-            for dx in range(KERNEL):
-                d_in[:, :, r0 + dy : r1 + dy, dx : dx + wo] += dcols[:, :, dy, dx]
+    d_input = None
+    if input_grad:
+        p = KERNEL - 1
+        flipped = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        d_input = np.empty_like(x)
+        _correlate(np.pad(upstream, ((0, 0), (0, 0), (p, p), (p, p))), flipped, d_input)
     d_bias = upstream.sum(axis=(0, 2, 3))
     return LayerGradients(
         d_input=d_input,

@@ -23,7 +23,6 @@ but the seed, in field order.
 
 from __future__ import annotations
 
-import copy
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -221,17 +220,6 @@ def backward(
     return grads
 
 
-def clone_network(net: Network, dtype=None) -> Network:
-    """Deep copy; optional dtype cast (float64 for gradient checking)."""
-    out = copy.deepcopy(net)
-    if dtype is not None:
-        for layer in (*out.convs, *out.bns, out.dense):
-            for name, value in vars(layer).items():
-                if isinstance(value, np.ndarray):
-                    setattr(layer, name, value.astype(dtype))
-    return out
-
-
 def save_weights(net: Network, destination) -> None:
     cfg = net.config
     blob = bytearray()
@@ -244,30 +232,39 @@ def save_weights(net: Network, destination) -> None:
     write_atomic(destination, bytes(blob))
 
 
-def _parse_header(data: bytes) -> tuple[int, int, int, int]:
+def _parse_header(data: bytes) -> NetworkConfig:
+    """The config a weights file's header describes, checked against the
+    file's length before anything is built from it."""
     if len(data) < 4 or data[:4] != MAGIC:
         raise WeightsFormatError(f"magic: expected {MAGIC!r}, got {data[:4]!r}")
     if len(data) < 20:
         raise WeightsFormatError("header: unexpected end of file")
-    return struct.unpack_from("<4I", data, 4)
+    try:
+        config = NetworkConfig(*struct.unpack_from("<4I", data, 4))
+    except ConfigError as exc:
+        raise WeightsFormatError(f"header: {exc}") from None
+    count = count_parameters(config)
+    if len(data) < 4 * count:
+        raise WeightsFormatError(
+            f"header: unexpected end of file: {count} parameters need "
+            f"{4 * count} bytes, the file has {len(data)}"
+        )
+    return config
 
 
-def peek_weights_header(source) -> tuple[int, int, int, int]:
-    """(conv_layers, filters, height, width) from a weights file header."""
-    return _parse_header(Path(source).read_bytes())
+def load_weights(source) -> Network:
+    """Read a weights file once and load it into a network built from the
+    config in its header (seed 0).
 
-
-def load_weights(source, config: NetworkConfig) -> Network:
-    """Load a weights file into a network built from `config`.
-
-    Every tensor record is checked against the shape of the same tensor in
-    the freshly built network; the first mismatch is reported by tensor
-    name. Truncated or oversized files are rejected.
+    A header that makes no valid config, or promises more parameters than
+    the file can hold, is rejected before anything is allocated. Every
+    tensor record is checked against the shape of the same tensor in the
+    built network; the first mismatch is reported by tensor name. Truncated
+    or oversized files are rejected.
     """
     data = Path(source).read_bytes()
-    header = _parse_header(data)
+    net = build(_parse_header(data))
     offset = 20
-    net = build(config)
     for name, dest in net.state_tensors().items():
         if offset + 4 > len(data):
             raise WeightsFormatError(f"{name}: unexpected end of file")
@@ -275,7 +272,7 @@ def load_weights(source, config: NetworkConfig) -> Network:
         offset += 4
         if rank != dest.ndim:
             raise WeightsFormatError(
-                f"{name}: file has rank {rank}, config expects rank {dest.ndim}"
+                f"{name}: file has rank {rank}, header expects rank {dest.ndim}"
             )
         if offset + 4 * rank > len(data):
             raise WeightsFormatError(f"{name}: unexpected end of file")
@@ -283,7 +280,7 @@ def load_weights(source, config: NetworkConfig) -> Network:
         offset += 4 * rank
         if dims != dest.shape:
             raise WeightsFormatError(
-                f"{name}: file has shape {dims}, config expects {dest.shape}"
+                f"{name}: file has shape {dims}, header expects {dest.shape}"
             )
         nbytes = 4 * dest.size
         if offset + nbytes > len(data):
@@ -292,9 +289,4 @@ def load_weights(source, config: NetworkConfig) -> Network:
         offset += nbytes
     if offset != len(data):
         raise WeightsFormatError(f"trailing data after {name} ({len(data) - offset} bytes)")
-    expected_header = (config.conv_layers, config.filters, config.height, config.width)
-    if header != expected_header:
-        raise WeightsFormatError(
-            f"header: file says {header}, config expects {expected_header}"
-        )
     return net

@@ -1,17 +1,32 @@
 """Finite-difference gradient checking used across the layer and model tests.
 
-All checks run on float64 copies of the layer state. `central_diff` perturbs
-one scalar slot at a time, so the callable must re-read its inputs on every
-invocation (no caching of intermediate state between calls).
+All checks run on float64 copies of the layer state (`clone_network` makes
+one of a whole network). `central_diff` perturbs one scalar slot at a time,
+so the callable must re-read its inputs on every invocation (no caching of
+intermediate state between calls).
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Callable
 
 import numpy as np
 
+from forgenet.model import Network
+
 STEP = 1e-4
+
+
+def clone_network(net: Network, dtype=None) -> Network:
+    """Deep copy; optional dtype cast (float64 for gradient checking)."""
+    out = copy.deepcopy(net)
+    if dtype is not None:
+        for layer in (*out.convs, *out.bns, out.dense):
+            for name, value in vars(layer).items():
+                if isinstance(value, np.ndarray):
+                    setattr(layer, name, value.astype(dtype))
+    return out
 
 
 def central_diff(

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from fdcheck import assert_close, central_diff
+from fdcheck import assert_close, central_diff, clone_network
 from forgenet import ablation, cli, evaluator, layers, model, trainer
 from forgenet.errors import WeightsFormatError
 from forgenet.evaluator import PredictionRecord
@@ -130,7 +130,7 @@ def test_criterion_02_gradient_suite():
         cfg = model.NetworkConfig(
             conv_layers=2, filters=2, height=12, width=12, seed=seed
         )
-        net = model.clone_network(model.build(cfg), dtype=np.float64)
+        net = clone_network(model.build(cfg), dtype=np.float64)
         batch_rng = np.random.default_rng(seed)
         x = batch_rng.uniform(size=(2, 3, 12, 12))
         y = np.array([0.0, 1.0])
@@ -380,7 +380,7 @@ def test_criterion_11_serialization(tmp_path):
     first = tmp_path / "a.fgn"
     second = tmp_path / "b.fgn"
     model.save_weights(net, first)
-    loaded = model.load_weights(first, cfg)
+    loaded = model.load_weights(first)
     model.save_weights(loaded, second)
     assert first.read_bytes() == second.read_bytes()
     for name, tensor in net.state_tensors().items():
@@ -391,26 +391,36 @@ def test_criterion_11_serialization(tmp_path):
     for cut in (3, 10, len(blob) // 2, len(blob) - 2):
         truncated.write_bytes(blob[:cut])
         with pytest.raises(WeightsFormatError):
-            model.load_weights(truncated, cfg)
+            model.load_weights(truncated)
 
     bad_magic = tmp_path / "magic.fgn"
     bad_magic.write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(WeightsFormatError, match="magic"):
-        model.load_weights(bad_magic, cfg)
+        model.load_weights(bad_magic)
 
     trailing = tmp_path / "trailing.fgn"
     trailing.write_bytes(blob + b"\x00" * 8)
     with pytest.raises(WeightsFormatError, match="trailing"):
-        model.load_weights(trailing, cfg)
+        model.load_weights(trailing)
 
-    # a filters=4 header over filters=2 tensors names the first mismatch
+    # a filters=4 header over filters=2 tensors, padded to the length that
+    # header promises, names the first mismatch
     wider = model.NetworkConfig(conv_layers=2, filters=4, height=12, width=12)
+    tampered = tmp_path / "tampered.fgn"
+    header = struct.pack("<4I", 2, 4, 12, 12)
+    padding = bytes(4 * model.count_parameters(wider))
+    tampered.write_bytes(blob[:4] + header + blob[20:] + padding)
     with pytest.raises(WeightsFormatError, match="conv0.weights"):
-        model.load_weights(first, wider)
+        model.load_weights(tampered)
 
     # flip one header field; the mismatch must be named, not crash
-    tampered = tmp_path / "tampered.fgn"
     header = struct.pack("<4I", 2, 2, 13, 12)
     tampered.write_bytes(blob[:4] + header + blob[20:])
     with pytest.raises(WeightsFormatError):
-        model.load_weights(tampered, cfg)
+        model.load_weights(tampered)
+
+    # a header that makes no valid config is a corrupt file, not a usage error
+    header = struct.pack("<4I", 2, 0, 12, 12)
+    tampered.write_bytes(blob[:4] + header + blob[20:])
+    with pytest.raises(WeightsFormatError, match="^header:"):
+        model.load_weights(tampered)

@@ -1,5 +1,7 @@
 import csv
 import json
+import struct
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +213,39 @@ class TestEval:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 2
+
+    def test_weights_file_read_once(self, cli_run, tmp_path, monkeypatch):
+        root, train_out = cli_run
+        reads = []
+        real_read_bytes = Path.read_bytes
+
+        def counting_read_bytes(self):
+            if self.suffix == ".fgn":
+                reads.append(self)
+            return real_read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+        code = cli.main([
+            "eval",
+            "--weights", str(train_out / "weights.fgn"),
+            "--manifest", str(root / "test" / "manifest.csv"),
+            "--batch", "16", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 0
+        assert reads == [train_out / "weights.fgn"]
+
+    def test_invalid_header_is_runtime_error(self, cli_run, tmp_path, capsys):
+        root, train_out = cli_run
+        blob = (train_out / "weights.fgn").read_bytes()
+        weights = tmp_path / "zero_filters.fgn"
+        weights.write_bytes(blob[:4] + struct.pack("<4I", 2, 0, 24, 24) + blob[20:])
+        code = cli.main([
+            "eval", "--weights", str(weights),
+            "--manifest", str(root / "test" / "manifest.csv"),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: header: filters must be >= 1")
 
     def test_missing_weights_file_is_runtime_error(self, synth_root, tmp_path):
         root, _ = synth_root

@@ -224,14 +224,6 @@ class TestProbabilityHistogram:
         counts = evaluator.probability_histogram(records)
         assert counts[1] == 1 and counts[2] == 1
 
-    def test_single_bin(self):
-        records = [rec("v", i, 0, p) for i, p in enumerate([0.0, 0.5, 1.0])]
-        assert evaluator.probability_histogram(records, bins=1).tolist() == [3]
-
-    def test_bad_bins_rejected(self):
-        with pytest.raises(ContractError):
-            evaluator.probability_histogram([], bins=0)
-
 
 class TestPredictManifest:
     def test_records_follow_manifest_order(self, synth_root):

@@ -139,11 +139,20 @@ def assert_rel(actual, expected, rtol, what):
 class TestConvAgainstReference:
     """The blocked-GEMM conv against the strided im2col path it replaced."""
 
-    # (5, 32) ends on a block of one sample; (4, 128) on a short band of rows.
-    @pytest.mark.parametrize("batch,side", [(16, 32), (5, 32), (4, 128)])
+    # (5, 32) ends on a block of one sample; (4, 128) on a short band of
+    # rows. 9x7 is not square, and one 2000-wide output row of four
+    # channels exceeds PATCH_BYTES: d_input's kernel flip, channel swap and
+    # padding would show on both.
+    @pytest.mark.parametrize("batch,height,width", [
+        pytest.param(16, 32, 32, id="16-32"),
+        pytest.param(5, 32, 32, id="5-32"),
+        pytest.param(4, 128, 128, id="4-128"),
+        pytest.param(3, 9, 7, id="3-9x7"),
+        pytest.param(2, 4, 2002, id="2-4x2002"),
+    ])
     @pytest.mark.parametrize("in_channels", [3, 4])
-    def test_float64_matches_reference(self, rng, batch, side, in_channels):
-        x = rng.normal(size=(batch, in_channels, side, side))
+    def test_float64_matches_reference(self, rng, batch, height, width, in_channels):
+        x = rng.normal(size=(batch, in_channels, height, width))
         layer = make_conv(rng, 4, in_channels)
         out = layers.conv2d_forward(x, layer)
         assert_rel(out, reference_layers.conv2d_forward(x, layer), 1e-9, "output")
@@ -152,6 +161,24 @@ class TestConvAgainstReference:
         expected = reference_layers.conv2d_backward(x, layer, upstream)
         for name in ("d_input", "d_weights", "d_bias"):
             assert_rel(getattr(grads, name), getattr(expected, name), 1e-9, name)
+
+    def test_float32_gradients_match_float64_reference(self, rng):
+        """All three float32 gradients at the paper frame size, against the
+        float64 reference on the same values."""
+        x = rng.normal(size=(4, 4, 128, 128)).astype(np.float32)
+        layer = make_conv(rng, 4, 4, dtype=np.float32)
+        upstream = rng.normal(size=(4, 4, 126, 126)).astype(np.float32)
+        grads = layers.conv2d_backward(x, layer, upstream)
+        layer64 = layers.ConvLayer(
+            weights=layer.weights.astype(np.float64), bias=layer.bias.astype(np.float64)
+        )
+        expected = reference_layers.conv2d_backward(
+            x.astype(np.float64), layer64, upstream.astype(np.float64)
+        )
+        for name in ("d_input", "d_weights", "d_bias"):
+            got = getattr(grads, name)
+            assert got.dtype == np.float32, name
+            assert_rel(got, getattr(expected, name), 1e-5, name)
 
     @pytest.mark.parametrize(
         "shape",

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_layers
-from fdcheck import assert_close, central_diff
+from fdcheck import assert_close, central_diff, clone_network
 from forgenet import layers, model
 from forgenet.errors import (
     ConfigError,
@@ -177,7 +178,7 @@ class TestForward:
 
 class TestBackward:
     def test_end_to_end_finite_differences(self, rng):
-        net = model.clone_network(model.build(SMALL), dtype=np.float64)
+        net = clone_network(model.build(SMALL), dtype=np.float64)
         x = rng.uniform(size=(2, 3, 12, 12))
         y = np.array([0.0, 1.0])
 
@@ -269,11 +270,11 @@ class TestAgainstReferenceConv:
     def test_float64_activations_and_gradients(self, rng, monkeypatch, batch, side):
         net, x, y = self._inputs(rng, batch, side)
         fast_outputs, fast_grads = train_pass(
-            monkeypatch, model.clone_network(net, np.float64), x, y,
+            monkeypatch, clone_network(net, np.float64), x, y,
             layers.conv2d_forward, layers.conv2d_backward,
         )
         ref_outputs, ref_grads = train_pass(
-            monkeypatch, model.clone_network(net, np.float64), x, y,
+            monkeypatch, clone_network(net, np.float64), x, y,
             reference_layers.conv2d_forward, reference_conv_backward,
         )
         for i, (got, expected) in enumerate(zip(fast_outputs, ref_outputs)):
@@ -299,7 +300,7 @@ class TestAgainstReferenceConv:
         with monkeypatch.context() as patch:
             patch.setattr(layers, "conv2d_forward", reference_layers.conv2d_forward)
             probs64, _ = model.forward(
-                model.clone_network(net, np.float64), x, training=training
+                clone_network(net, np.float64), x, training=training
             )
         assert np.abs(probs32 - probs64).max() <= 1e-5
 
@@ -315,14 +316,9 @@ class TestWeightsFile:
         net = self._trained_net(rng)
         path = tmp_path / "w.fgn"
         model.save_weights(net, path)
-        back = model.load_weights(path, SMALL)
+        back = model.load_weights(path)
         for name, tensor in net.state_tensors().items():
             assert np.array_equal(tensor, back.state_tensors()[name]), name
-
-    def test_header_peek(self, rng, tmp_path):
-        path = tmp_path / "w.fgn"
-        model.save_weights(model.build(SMALL), path)
-        assert model.peek_weights_header(path) == (2, 2, 12, 12)
 
     def test_truncated_rejected(self, rng, tmp_path):
         net = self._trained_net(rng)
@@ -332,7 +328,7 @@ class TestWeightsFile:
         clipped = tmp_path / "clipped.fgn"
         clipped.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(WeightsFormatError, match="unexpected end of file"):
-            model.load_weights(clipped, SMALL)
+            model.load_weights(clipped)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "w.fgn"
@@ -341,21 +337,50 @@ class TestWeightsFile:
         blob[:4] = b"NOPE"
         path.write_bytes(bytes(blob))
         with pytest.raises(WeightsFormatError, match="magic"):
-            model.load_weights(path, SMALL)
+            model.load_weights(path)
 
     def test_trailing_data_rejected(self, tmp_path):
         path = tmp_path / "w.fgn"
         model.save_weights(model.build(SMALL), path)
         path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
         with pytest.raises(WeightsFormatError, match="trailing"):
-            model.load_weights(path, SMALL)
+            model.load_weights(path)
+
+    def _tamper_header(self, path, header, tail=b""):
+        """Rewrite the file at `path` with another header, `tail` appended."""
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<4I", *header) + blob[20:] + tail)
 
     def test_filter_mismatch_names_first_tensor(self, tmp_path):
         path = tmp_path / "w.fgn"
         model.save_weights(model.build(SMALL), path)
+        # Padded to the length a filters=4 header promises, so the tensor
+        # records themselves are what disagree with the header.
         wider = model.NetworkConfig(conv_layers=2, filters=4, height=12, width=12)
+        padding = bytes(4 * model.count_parameters(wider))
+        self._tamper_header(path, (2, 4, 12, 12), tail=padding)
         with pytest.raises(WeightsFormatError, match="conv0.weights"):
-            model.load_weights(path, wider)
+            model.load_weights(path)
+
+    def test_invalid_header_config_rejected(self, tmp_path):
+        path = tmp_path / "w.fgn"
+        model.save_weights(model.build(SMALL), path)
+        self._tamper_header(path, (2, 0, 12, 12))
+        with pytest.raises(WeightsFormatError, match="^header: filters must be >= 1"):
+            model.load_weights(path)
+
+    def test_header_larger_than_file_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "w.fgn"
+        model.save_weights(model.build(SMALL), path)
+        self._tamper_header(path, (2, 2, 2000, 2000))  # a 32 MB dense layer
+        tracemalloc.start()
+        try:
+            with pytest.raises(WeightsFormatError, match="^header: unexpected end"):
+                model.load_weights(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     # Save and load share the schema order, so a roundtrip cannot notice a
     # reordered schema; these values pin the FGN1 layout itself.
@@ -398,7 +423,7 @@ class TestWeightsFile:
             return real_read_bytes(self)
 
         monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
-        model.load_weights(path, SMALL)
+        model.load_weights(path)
         assert len(reads) == 1
 
     def test_header_covers_config(self, tmp_path):
@@ -409,14 +434,14 @@ class TestWeightsFile:
         cfg = model.NetworkConfig(conv_layers=2, filters=3, height=13, width=11, seed=4)
         path = tmp_path / "w.fgn"
         model.save_weights(model.build(cfg), path)
-        from_header = model.NetworkConfig(*model.peek_weights_header(path))
+        from_header = model.load_weights(path).config
         assert dataclasses.replace(from_header, seed=cfg.seed) == cfg
 
 
 class TestCloneNetwork:
     def test_float64_clone_is_independent(self, rng):
         net = model.build(SMALL)
-        shadow = model.clone_network(net, dtype=np.float64)
+        shadow = clone_network(net, dtype=np.float64)
         assert shadow.convs[0].weights.dtype == np.float64
         shadow.convs[0].weights[...] = 0.0
         assert net.convs[0].weights.any()
