@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import mmap
 import os
 from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -167,9 +168,9 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def load_image(path) -> np.ndarray:
-    """Decode a binary PPM (P6, maxval 255) into (1, 3, h, w) float32 in [0,1]."""
-    data = Path(path).read_bytes()
+def _ppm_header(data, path) -> tuple[int, int, int]:
+    """(height, width, raster offset) from the header of the binary PPM (P6,
+    maxval 255) in `data`: its bytes, or a memory map of its file."""
     if data[:2] != b"P6":
         raise DecodeError(f"{path}: wrong magic {data[:2]!r}, expected b'P6'")
     pos = 2
@@ -185,17 +186,40 @@ def load_image(path) -> np.ndarray:
         raise DecodeError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:
         raise DecodeError(f"{path}: maxval must be 255, got {maxval}")
-    pos += 1  # single whitespace byte after maxval
+    return height, width, pos + 1  # single whitespace byte after maxval
+
+
+def _check_raster_length(length: int, height: int, width: int, path) -> None:
     expected = 3 * width * height
-    raster = data[pos:]
-    if len(raster) < expected:
+    if length < expected:
         raise DecodeError(
-            f"{path}: truncated pixel data ({len(raster)} of {expected} bytes)"
+            f"{path}: truncated pixel data ({length} of {expected} bytes)"
         )
-    if len(raster) > expected:
-        raise DecodeError(f"{path}: {len(raster) - expected} trailing bytes")
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
-    x = pixels.astype(np.float32) / 255.0
+    if length > expected:
+        raise DecodeError(f"{path}: {length - expected} trailing bytes")
+
+
+def frame_size(path) -> tuple[int, int]:
+    """(height, width) of a binary PPM frame, from its header and the file's
+    length: the file is memory-mapped and only the header's pages are read,
+    so every frame of a manifest can be checked before any is decoded."""
+    with open(path, "rb") as fh:
+        length = os.fstat(fh.fileno()).st_size
+        if length == 0:
+            raise DecodeError(f"{path}: empty file")
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            height, width, pos = _ppm_header(data, path)
+    _check_raster_length(length - pos, height, width, path)
+    return height, width
+
+
+def load_image(path) -> np.ndarray:
+    """Decode a binary PPM (P6, maxval 255) into (1, 3, h, w) float32 in [0,1]."""
+    data = Path(path).read_bytes()
+    height, width, pos = _ppm_header(data, path)
+    _check_raster_length(len(data) - pos, height, width, path)
+    pixels = np.frombuffer(data, np.uint8, 3 * height * width, pos)
+    x = pixels.reshape(height, width, 3).astype(np.float32) / 255.0
     return x.transpose(2, 0, 1)[np.newaxis]  # (1, 3, h, w), channels R,G,B
 
 

@@ -1,9 +1,10 @@
 """Forward and backward passes for every block in the detector network.
 
 Conv is valid-padding, stride-1, 3x3, cross-correlation convention (no
-kernel flip). Batch normalization keeps per-channel moving statistics for
-inference. The hidden activation is ReLU; the output head is a width-1
-dense layer squashed by a clamped sigmoid feeding binary cross-entropy.
+kernel flip). Batch normalization runs only in training; at inference,
+`batchnorm_fold` folds it, with its moving statistics, into the conv before
+it. The hidden activation is ReLU; the output head is a width-1 dense layer
+squashed by a clamped sigmoid feeding binary cross-entropy.
 
 All functions are dtype-preserving so the same code runs the float32
 model path and the float64 finite-difference path.
@@ -19,6 +20,9 @@ from .errors import ContractError, DegenerateBatchError, ShapeError
 from .tensor import require_rank
 
 KERNEL = 3
+
+BN_MOMENTUM = 0.99  # moving statistics <- m * moving + (1 - m) * batch
+BN_EPSILON = 1e-3  # added to the variance before its square root
 
 # Probabilities are clamped into [PROB_CLAMP, 1 - PROB_CLAMP] so the
 # cross-entropy stays finite at sigmoid saturation.
@@ -45,8 +49,6 @@ class BatchNormLayer:
     beta: np.ndarray  # (channels,)
     moving_mean: np.ndarray  # (channels,)
     moving_var: np.ndarray  # (channels,)
-    momentum: float = 0.99
-    epsilon: float = 1e-3
 
     @property
     def channels(self) -> int:
@@ -213,46 +215,36 @@ def conv2d_backward(
 
 
 def batchnorm_forward(
-    x: np.ndarray, layer: BatchNormLayer, training: bool
-) -> tuple[np.ndarray, BatchNormCache | None]:
-    """Per-channel standardization over (n, h, w), then affine gamma/beta.
-
-    Training mode normalizes with batch statistics (biased variance),
-    updates the moving statistics in place
-    (moving <- momentum * moving + (1 - momentum) * batch) and returns the
-    backward cache. Inference mode uses the moving statistics, mutates
-    nothing and returns None for the cache.
+    x: np.ndarray, layer: BatchNormLayer
+) -> tuple[np.ndarray, BatchNormCache]:
+    """Per-channel standardization over (n, h, w) with batch statistics
+    (biased variance), then affine gamma/beta. Updates the moving
+    statistics in place and returns the backward cache.
     """
     require_rank(x, 4, "batchnorm input")
     n, c, h, w = x.shape
     if c != layer.channels:
         raise ShapeError(f"batchnorm input has {c} channels, layer has {layer.channels}")
-    if training and n * h * w < 2:
+    if n * h * w < 2:
         raise DegenerateBatchError(
             f"batchnorm training mode needs >= 2 samples per channel, got {n * h * w}"
         )
-    if training:
-        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
-    else:
-        mean, var = layer.moving_mean, layer.moving_var
-    inv_std = 1.0 / np.sqrt(var + layer.epsilon)
+    mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
     xhat = (x - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
     out = layer.gamma.reshape(1, c, 1, 1) * xhat + layer.beta.reshape(1, c, 1, 1)
-    if not training:
-        return out, None
-
-    m = layer.momentum
-    layer.moving_mean[:] = m * layer.moving_mean + (1.0 - m) * mean
-    layer.moving_var[:] = m * layer.moving_var + (1.0 - m) * var
+    layer.moving_mean[:] = BN_MOMENTUM * layer.moving_mean + (1.0 - BN_MOMENTUM) * mean
+    layer.moving_var[:] = BN_MOMENTUM * layer.moving_var + (1.0 - BN_MOMENTUM) * var
     return out, BatchNormCache(xhat=xhat, var=var, inv_std=inv_std)
 
 
 def batchnorm_backward(
-    cache: BatchNormCache | None, layer: BatchNormLayer, upstream: np.ndarray
+    cache: BatchNormCache, layer: BatchNormLayer, upstream: np.ndarray
 ) -> LayerGradients:
-    """Full training-mode gradient, including the mean/variance dependence."""
-    if cache is None:
-        raise ContractError("batchnorm_backward requires a training-mode cache")
+    """Full gradient, with the mean/variance dependence, in the closed form
+    d_input = gamma * inv_std / m * (m * upstream - d_beta - xhat * d_gamma)
+    over m = n*h*w values per channel (Ioffe & Szegedy 2015, arXiv
+    1502.03167, section 3)."""
     if np.any(cache.var == 0.0):
         # The normalized output is constant in every direction that keeps the
         # channel constant; gradients through 1/sqrt(var+eps) are meaningless.
@@ -265,20 +257,24 @@ def batchnorm_backward(
             f"batchnorm upstream shape {upstream.shape} != {cache.xhat.shape}"
         )
     c = layer.channels
-    n, _, h, w = upstream.shape
-    count = n * h * w
-
-    d_gamma = (upstream * cache.xhat).sum(axis=(0, 2, 3))
-    d_beta = upstream.sum(axis=(0, 2, 3))
-
-    dxhat = upstream * layer.gamma.reshape(1, c, 1, 1)
-    sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-    sum_dxhat_xhat = (dxhat * cache.xhat).sum(axis=(0, 2, 3), keepdims=True)
-    inv_std = cache.inv_std.reshape(1, c, 1, 1)
-    d_input = (inv_std / count) * (
-        count * dxhat - sum_dxhat - cache.xhat * sum_dxhat_xhat
+    count = upstream.size // c
+    d_gamma = (upstream * cache.xhat).sum(axis=(0, 2, 3), keepdims=True)
+    d_beta = upstream.sum(axis=(0, 2, 3), keepdims=True)
+    scale = (layer.gamma * cache.inv_std / count).reshape(1, c, 1, 1)
+    d_input = scale * (count * upstream - d_beta - cache.xhat * d_gamma)
+    return LayerGradients(
+        d_input=d_input, d_gamma=d_gamma.reshape(c), d_beta=d_beta.reshape(c)
     )
-    return LayerGradients(d_input=d_input, d_gamma=d_gamma, d_beta=d_beta)
+
+
+def batchnorm_fold(conv: ConvLayer, bn: BatchNormLayer) -> ConvLayer:
+    """The conv whose output is `bn`, with its moving statistics, applied to
+    `conv`'s: s = gamma / sqrt(moving_var + eps), w' = w * s per filter and
+    b' = (b - moving_mean) * s + beta (Jacob et al. 2018, arXiv 1712.05877,
+    section 3.2). A new layer on each call; neither input changes."""
+    s = bn.gamma / np.sqrt(bn.moving_var + BN_EPSILON)
+    bias = (conv.bias - bn.moving_mean) * s + bn.beta
+    return ConvLayer(weights=conv.weights * s.reshape(-1, 1, 1, 1), bias=bias)
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:

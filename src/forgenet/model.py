@@ -5,8 +5,9 @@ padding, stride 1), each followed by batch normalization and ReLU, then
 flatten and a width-1 dense head with sigmoid output: 58,221 stored
 parameters at 3x128x128 input (IN_CHANNELS is 3: `data.load_image`
 decodes only RGB PPM). Moving BN statistics count as stored parameters but
-never receive gradients. A training forward keeps, for backward, each
-block's input and its normalised values; an inference forward keeps nothing.
+never receive gradients. BN runs only in training, where a forward keeps
+each block's input and normalised values for backward. An inference
+forward folds each BN into its conv and keeps nothing.
 
 Weights file format (all integers little-endian u32, floats little-endian
 float32, no padding):
@@ -162,8 +163,8 @@ def forward(
     """Run the network; returns clamped probabilities and the backward cache.
 
     Training mode updates BN moving statistics and keeps each block's input
-    and normalised values for backward. Inference mode is pure, keeps
-    nothing and returns None for the cache.
+    and normalised values for backward. Inference mode folds each BN into
+    its conv, is pure, keeps nothing and returns None for the cache.
     """
     require_rank(x, 4, "network input")
     cfg = net.config
@@ -175,11 +176,13 @@ def forward(
     activations, bn_caches = [x], []
     h = x
     for conv, bn in zip(net.convs, net.bns):
-        h, bn_cache = L.batchnorm_forward(L.conv2d_forward(h, conv), bn, training)
+        if not training:
+            h = L.relu_forward(L.conv2d_forward(h, L.batchnorm_fold(conv, bn)))
+            continue
+        h, bn_cache = L.batchnorm_forward(L.conv2d_forward(h, conv), bn)
         h = L.relu_forward(h)
-        if training:
-            activations.append(h)
-            bn_caches.append(bn_cache)
+        activations.append(h)
+        bn_caches.append(bn_cache)
     probs = L.sigmoid(L.dense_forward(flatten(h), net.dense))
     return probs, ForwardCache(activations, bn_caches, probs) if training else None
 

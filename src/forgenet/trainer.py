@@ -73,14 +73,20 @@ def should_stop(val_history: list[float], delta: float) -> bool:
     return abs(val_history[-1] - val_history[-2]) < delta
 
 
-def _check_image_shape(net: model_mod.Network, manifest: data_mod.DatasetManifest) -> None:
-    cfg = net.config
-    x = data_mod.load_image(manifest.rows[0].path)
-    expected = (1, model_mod.IN_CHANNELS, cfg.height, cfg.width)
-    if x.shape != expected:
-        raise ShapeError(
-            f"manifest image shape {x.shape} does not match network input {expected}"
-        )
+def _check_frame_sizes(
+    net: model_mod.Network, *manifests: data_mod.DatasetManifest
+) -> None:
+    """Reads the header of every frame, and no raster, so that a frame of
+    the wrong size fails the run before its first update."""
+    expected = (net.config.height, net.config.width)
+    for manifest in manifests:
+        for row in manifest.rows:
+            size = data_mod.frame_size(row.path)
+            if size != expected:
+                raise ShapeError(
+                    f"{row.path}: frame size {size} does not match "
+                    f"network input {expected}"
+                )
 
 
 def validation_accuracy(
@@ -106,8 +112,7 @@ def train(
         raise ContractError("train: empty training manifest")
     if not val_manifest.rows:
         raise ContractError("train: empty validation manifest")
-    _check_image_shape(net, train_manifest)
-    _check_image_shape(net, val_manifest)
+    _check_frame_sizes(net, train_manifest, val_manifest)
 
     params = net.parameters()
     adam = AdamState(lr=config.lr)

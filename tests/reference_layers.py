@@ -1,18 +1,31 @@
-"""Plain conv reference: the original im2col/GEMM path, kept as a test oracle.
+"""Plain conv and batch-norm references, kept as test oracles.
 
-`forgenet.layers` carries the only conv implementation the program runs.
-These functions are the earlier path it replaced, unchanged: a strided
-`sliding_window_view` im2col, one (n*ho*wo, c*9) patch GEMM whose output is
-an NCHW view over NHWC memory, and a backward pass that always computes the
-input gradient. Tests compare the program's conv against them.
+`forgenet.layers` carries the only conv and BN implementations the program
+runs. The conv functions are the earlier path it replaced, unchanged: a
+strided `sliding_window_view` im2col, one (n*ho*wo, c*9) patch GEMM whose
+output is an NCHW view over NHWC memory, and a backward pass that always
+computes the input gradient. The BN functions are the earlier two-mode
+forward (batch statistics in training, moving statistics at inference) and
+the backward that sums over dxhat = upstream * gamma; they differ from the
+originals only in reading momentum and epsilon from the module constants.
+Tests compare the program's conv, BN backward and folded inference
+against them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from forgenet.errors import ShapeError
-from forgenet.layers import KERNEL, ConvLayer, LayerGradients
+from forgenet.errors import ContractError, DegenerateBatchError, ShapeError
+from forgenet.layers import (
+    BN_EPSILON,
+    BN_MOMENTUM,
+    KERNEL,
+    BatchNormCache,
+    BatchNormLayer,
+    ConvLayer,
+    LayerGradients,
+)
 from forgenet.tensor import require_rank
 
 
@@ -70,3 +83,72 @@ def conv2d_backward(
         for dx in range(KERNEL):
             d_input[:, :, dy : dy + ho, dx : dx + wo] += dcols[:, :, :, :, dy, dx]
     return LayerGradients(d_input=d_input, d_weights=d_weights, d_bias=d_bias)
+
+
+def batchnorm_forward(
+    x: np.ndarray, layer: BatchNormLayer, training: bool
+) -> tuple[np.ndarray, BatchNormCache | None]:
+    """Per-channel standardization over (n, h, w), then affine gamma/beta.
+
+    Training mode normalizes with batch statistics (biased variance),
+    updates the moving statistics in place
+    (moving <- momentum * moving + (1 - momentum) * batch) and returns the
+    backward cache. Inference mode uses the moving statistics, mutates
+    nothing and returns None for the cache.
+    """
+    require_rank(x, 4, "batchnorm input")
+    n, c, h, w = x.shape
+    if c != layer.channels:
+        raise ShapeError(f"batchnorm input has {c} channels, layer has {layer.channels}")
+    if training and n * h * w < 2:
+        raise DegenerateBatchError(
+            f"batchnorm training mode needs >= 2 samples per channel, got {n * h * w}"
+        )
+    if training:
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    else:
+        mean, var = layer.moving_mean, layer.moving_var
+    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
+    xhat = (x - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
+    out = layer.gamma.reshape(1, c, 1, 1) * xhat + layer.beta.reshape(1, c, 1, 1)
+    if not training:
+        return out, None
+
+    m = BN_MOMENTUM
+    layer.moving_mean[:] = m * layer.moving_mean + (1.0 - m) * mean
+    layer.moving_var[:] = m * layer.moving_var + (1.0 - m) * var
+    return out, BatchNormCache(xhat=xhat, var=var, inv_std=inv_std)
+
+
+def batchnorm_backward(
+    cache: BatchNormCache | None, layer: BatchNormLayer, upstream: np.ndarray
+) -> LayerGradients:
+    """Full training-mode gradient, including the mean/variance dependence."""
+    if cache is None:
+        raise ContractError("batchnorm_backward requires a training-mode cache")
+    if np.any(cache.var == 0.0):
+        # The normalized output is constant in every direction that keeps the
+        # channel constant; gradients through 1/sqrt(var+eps) are meaningless.
+        raise DegenerateBatchError(
+            "batchnorm gradient undefined for zero-variance channel"
+        )
+    require_rank(upstream, 4, "batchnorm upstream")
+    if upstream.shape != cache.xhat.shape:
+        raise ShapeError(
+            f"batchnorm upstream shape {upstream.shape} != {cache.xhat.shape}"
+        )
+    c = layer.channels
+    n, _, h, w = upstream.shape
+    count = n * h * w
+
+    d_gamma = (upstream * cache.xhat).sum(axis=(0, 2, 3))
+    d_beta = upstream.sum(axis=(0, 2, 3))
+
+    dxhat = upstream * layer.gamma.reshape(1, c, 1, 1)
+    sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+    sum_dxhat_xhat = (dxhat * cache.xhat).sum(axis=(0, 2, 3), keepdims=True)
+    inv_std = cache.inv_std.reshape(1, c, 1, 1)
+    d_input = (inv_std / count) * (
+        count * dxhat - sum_dxhat - cache.xhat * sum_dxhat_xhat
+    )
+    return LayerGradients(d_input=d_input, d_gamma=d_gamma, d_beta=d_beta)

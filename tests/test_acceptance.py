@@ -93,10 +93,10 @@ def test_criterion_02_gradient_suite():
         up = rng.normal(size=x.shape)
 
         def bn_objective():
-            out, _ = layers.batchnorm_forward(x, layer, training=True)
+            out, _ = layers.batchnorm_forward(x, layer)
             return float((out * up).sum())
 
-        _, cache = layers.batchnorm_forward(x, layer, training=True)
+        _, cache = layers.batchnorm_forward(x, layer)
         grads = layers.batchnorm_backward(cache, layer, up)
         assert_close(grads.d_gamma, central_diff(bn_objective, layer.gamma), 1e-3)
         assert_close(grads.d_beta, central_diff(bn_objective, layer.beta), 1e-3)
@@ -163,7 +163,7 @@ def test_criterion_03_batchnorm_normalization():
             gamma=np.ones(c), beta=np.zeros(c),  # identity affine: pre-affine view
             moving_mean=np.zeros(c), moving_var=np.ones(c),
         )
-        out, _ = layers.batchnorm_forward(x, layer, training=True)
+        out, _ = layers.batchnorm_forward(x, layer)
         mean = out.mean(axis=(0, 2, 3))
         var = out.var(axis=(0, 2, 3))
         assert np.all(np.abs(mean) < 1e-4), f"|mean| up to {np.abs(mean).max():.2e}"

@@ -152,6 +152,23 @@ class TestLoadImage:
         with pytest.raises(DecodeError, match="trailing"):
             data.load_image(path)
 
+    def test_frame_size_reads_the_header(self, tmp_path):
+        path = tmp_path / "s.ppm"
+        path.write_bytes(b"P6\n# made by hand\n3 2\n255\n" + b"\x00" * 18)
+        assert data.frame_size(path) == (2, 3)
+
+    @pytest.mark.parametrize("match,blob", [
+        ("empty", b""),
+        ("magic", b"P5\n1 1\n255\n\xff"),
+        ("truncated", b"P6\n2 2\n255\n" + b"\xff" * 7),
+        ("trailing", b"P6\n1 1\n255\n" + b"\xff" * 5),
+    ], ids=["empty", "magic", "truncated", "trailing"])
+    def test_frame_size_rejects_what_load_image_rejects(self, tmp_path, match, blob):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(blob)
+        with pytest.raises(DecodeError, match=match):
+            data.frame_size(path)
+
     def test_write_load_roundtrip_on_quantized_values(self, rng, tmp_path):
         pixels = (rng.integers(0, 256, size=(3, 4, 5)) / 255.0).astype(np.float32)
         path = tmp_path / "q.ppm"

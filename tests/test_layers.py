@@ -208,7 +208,7 @@ class TestConvAgainstReference:
         assert np.array_equal(skipped.d_bias, full.d_bias)
 
 
-def test_float32_batch_statistics_at_paper_shape(rng):
+def test_float32_batch_statistics_at_paper_shape(rng, monkeypatch):
     """Float32 conv -> BN batch statistics at 128px, batch 128, against float64.
 
     Summing the conv output over (n, h, w) in float32 stays accurate only
@@ -221,11 +221,12 @@ def test_float32_batch_statistics_at_paper_shape(rng):
         bias=np.array([1.0, -1.0, 0.5, -0.5], np.float32),
     )
 
+    # momentum 0 makes the moving statistics the batch statistics
+    monkeypatch.setattr(layers, "BN_MOMENTUM", 0.0)
+
     def batch_stats(h, dtype):
-        # momentum 0 makes the moving statistics the batch statistics
         bn = make_bn(4, dtype)
-        bn.momentum = 0.0
-        _, cache = layers.batchnorm_forward(h, bn, training=True)
+        _, cache = layers.batchnorm_forward(h, bn)
         assert np.array_equal(bn.moving_var, cache.var)
         return bn.moving_mean.astype(np.float64), bn.moving_var.astype(np.float64)
 
@@ -252,51 +253,36 @@ class TestBatchNormForward:
     def test_constant_channel_maps_to_zero(self):
         layer = make_bn(1, np.float32)
         x = np.full((2, 1, 2, 2), 3.7, np.float32)
-        out, cache = layers.batchnorm_forward(x, layer, training=True)
+        out, cache = layers.batchnorm_forward(x, layer)
         assert cache is not None
-        assert np.all(np.abs(out) <= math.sqrt(layer.epsilon))
+        assert np.all(np.abs(out) <= math.sqrt(layers.BN_EPSILON))
         assert np.allclose(out, 0.0, atol=1e-6)
 
     def test_four_value_scalar_oracle(self):
         layer = make_bn(1, np.float32)
         x = np.array([1.0, 2.0, 3.0, 4.0], np.float32).reshape(1, 1, 2, 2)
-        out, _ = layers.batchnorm_forward(x, layer, training=True)
+        out, _ = layers.batchnorm_forward(x, layer)
         expected = (x - 2.5) / math.sqrt(1.25 + 1e-3)
         assert_close(out, expected, 1e-6, atol=1e-6)
-
-    def test_inference_unit_stats(self):
-        layer = make_bn(2, np.float32)
-        x = np.linspace(-1.0, 1.0, 16, dtype=np.float32).reshape(2, 2, 2, 2)
-        out, cache = layers.batchnorm_forward(x, layer, training=False)
-        assert cache is None
-        assert_close(out, x / math.sqrt(1.001), 1e-6, atol=1e-7)
-
-    def test_inference_mutates_nothing(self, rng):
-        layer = make_bn(2, np.float32)
-        before = (layer.moving_mean.copy(), layer.moving_var.copy())
-        x = rng.normal(size=(2, 2, 3, 3)).astype(np.float32)
-        layers.batchnorm_forward(x, layer, training=False)
-        assert np.array_equal(layer.moving_mean, before[0])
-        assert np.array_equal(layer.moving_var, before[1])
 
     def test_moving_stats_update_rule(self, rng):
         layer = make_bn(2)
         x = rng.normal(loc=1.0, scale=2.0, size=(3, 2, 4, 4))
         mean = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
-        layers.batchnorm_forward(x, layer, training=True)
+        layers.batchnorm_forward(x, layer)
         assert_close(layer.moving_mean, 0.99 * 0.0 + 0.01 * mean, 1e-9)
         assert_close(layer.moving_var, 0.99 * 1.0 + 0.01 * var, 1e-9)
 
     def test_single_element_training_rejected(self):
         layer = make_bn(1, np.float32)
         with pytest.raises(DegenerateBatchError):
-            layers.batchnorm_forward(np.ones((1, 1, 1, 1), np.float32), layer, True)
+            layers.batchnorm_forward(np.ones((1, 1, 1, 1), np.float32), layer)
 
     def test_channel_mismatch_rejected(self):
         layer = make_bn(3, np.float32)
         with pytest.raises(ShapeError):
-            layers.batchnorm_forward(np.ones((1, 2, 2, 2), np.float32), layer, True)
+            layers.batchnorm_forward(np.ones((1, 2, 2, 2), np.float32), layer)
 
     @given(scale=st.floats(0.2, 50.0), shift=st.floats(-20.0, 20.0), seed=st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)
@@ -304,17 +290,17 @@ class TestBatchNormForward:
         """Pre-affine output: mean 0, variance v/(v+eps) for batch variance v."""
         layer = make_bn(1)
         x = shift + scale * np.random.default_rng(seed).normal(size=(2, 1, 4, 4))
-        out, _ = layers.batchnorm_forward(x, layer, training=True)
+        out, _ = layers.batchnorm_forward(x, layer)
         v = x.var(axis=(0, 2, 3))[0]
         assert abs(out.mean()) < 1e-9
-        assert abs(out.var() - v / (v + layer.epsilon)) < 1e-9
+        assert abs(out.var() - v / (v + layers.BN_EPSILON)) < 1e-9
 
 
 class TestBatchNormBackward:
     def test_zero_upstream(self, rng):
         layer = make_bn(2)
         x = rng.normal(size=(2, 2, 3, 3))
-        _, cache = layers.batchnorm_forward(x, layer, training=True)
+        _, cache = layers.batchnorm_forward(x, layer)
         grads = layers.batchnorm_backward(cache, layer, np.zeros_like(x))
         assert not grads.d_input.any()
         assert not grads.d_gamma.any()
@@ -324,7 +310,7 @@ class TestBatchNormBackward:
         layer = make_bn(3)
         x = rng.normal(size=(2, 3, 2, 2))
         upstream = rng.normal(size=x.shape)
-        _, cache = layers.batchnorm_forward(x, layer, training=True)
+        _, cache = layers.batchnorm_forward(x, layer)
         grads = layers.batchnorm_backward(cache, layer, upstream)
         assert_close(grads.d_beta, upstream.sum(axis=(0, 2, 3)), 1e-12)
 
@@ -334,28 +320,90 @@ class TestBatchNormBackward:
         upstream = rng.normal(size=x.shape)
 
         def objective():
-            out, _ = layers.batchnorm_forward(x, layer, training=True)
+            out, _ = layers.batchnorm_forward(x, layer)
             return float(np.sum(upstream * out))
 
-        _, cache = layers.batchnorm_forward(x, layer, training=True)
+        _, cache = layers.batchnorm_forward(x, layer)
         grads = layers.batchnorm_backward(cache, layer, upstream)
         assert_close(grads.d_gamma, central_diff(objective, layer.gamma), 1e-4)
         assert_close(grads.d_beta, central_diff(objective, layer.beta), 1e-4)
         assert_close(grads.d_input, central_diff(objective, x), 1e-4, atol=1e-6)
 
-    def test_inference_cache_rejected(self, rng):
-        layer = make_bn(1, np.float32)
-        x = rng.normal(size=(1, 1, 2, 2)).astype(np.float32)
-        _, cache = layers.batchnorm_forward(x, layer, training=False)
-        with pytest.raises(ContractError):
-            layers.batchnorm_backward(cache, layer, x)
-
     def test_zero_variance_channel_rejected(self):
         layer = make_bn(1, np.float32)
         x = np.full((2, 1, 2, 2), 1.25, np.float32)
-        _, cache = layers.batchnorm_forward(x, layer, training=True)
+        _, cache = layers.batchnorm_forward(x, layer)
         with pytest.raises(DegenerateBatchError):
             layers.batchnorm_backward(cache, layer, np.ones_like(x))
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 2, 3, 3), (16, 4, 30, 30)], ids=lambda s: "x".join(map(str, s))
+    )
+    def test_float64_matches_reference(self, rng, shape):
+        c = shape[1]
+        layer = make_bn(c, gamma=rng.uniform(0.5, 1.5, c), beta=rng.normal(size=c))
+        x = rng.normal(loc=0.5, scale=2.0, size=shape)
+        upstream = rng.normal(size=shape)
+        _, cache = layers.batchnorm_forward(x, layer)
+        got = layers.batchnorm_backward(cache, layer, upstream)
+        expected = reference_layers.batchnorm_backward(cache, layer, upstream)
+        for name in ("d_input", "d_gamma", "d_beta"):
+            want = getattr(expected, name)
+            assert_close(getattr(got, name), want, 1e-9,
+                         atol=1e-9 * np.abs(want).max(), what=name)
+
+    def test_float32_parameter_gradients_bitwise(self, rng):
+        layer = make_bn(4, np.float32, gamma=rng.uniform(0.5, 1.5, 4),
+                        beta=rng.normal(size=4))
+        x = rng.normal(size=(16, 4, 30, 30)).astype(np.float32)
+        upstream = rng.normal(size=x.shape).astype(np.float32)
+        _, cache = layers.batchnorm_forward(x, layer)
+        got = layers.batchnorm_backward(cache, layer, upstream)
+        expected = reference_layers.batchnorm_backward(cache, layer, upstream)
+        assert got.d_input.dtype == np.float32
+        assert np.array_equal(got.d_gamma, expected.d_gamma)
+        assert np.array_equal(got.d_beta, expected.d_beta)
+        assert_close(got.d_input, expected.d_input, 1e-5,
+                     atol=1e-6 * np.abs(expected.d_input).max(), what="d_input")
+
+
+def random_inference_bn(rng, channels, dtype):
+    """A BN layer with non-trivial gamma, beta and moving statistics."""
+    return layers.BatchNormLayer(
+        gamma=rng.uniform(0.5, 1.5, channels).astype(dtype),
+        beta=rng.normal(0.0, 0.2, channels).astype(dtype),
+        moving_mean=rng.normal(0.0, 0.2, channels).astype(dtype),
+        moving_var=rng.uniform(0.5, 2.0, channels).astype(dtype),
+    )
+
+
+class TestBatchNormFold:
+    @pytest.mark.parametrize(
+        "dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)], ids=["float64", "float32"]
+    )
+    def test_matches_reference_inference(self, rng, dtype, tol):
+        conv = make_conv(rng, 4, 3, dtype)
+        bn = random_inference_bn(rng, 4, dtype)
+        x = rng.uniform(size=(3, 3, 10, 9)).astype(dtype)
+        folded = layers.conv2d_forward(x, layers.batchnorm_fold(conv, bn))
+        expected, cache = reference_layers.batchnorm_forward(
+            reference_layers.conv2d_forward(x, conv), bn, training=False
+        )
+        assert cache is None
+        assert folded.dtype == dtype
+        assert_close(folded, expected, tol, atol=tol * np.abs(expected).max(),
+                     what="folded conv output")
+
+    def test_mutates_neither_layer(self, rng):
+        conv = make_conv(rng, 4, 3, np.float32)
+        bn = random_inference_bn(rng, 4, np.float32)
+        tensors = [*vars(conv).values(), *vars(bn).values()]
+        before = [t.copy() for t in tensors]
+        folded = layers.batchnorm_fold(conv, bn)
+        for tensor, kept in zip(tensors, before):
+            assert np.array_equal(tensor, kept)
+        assert not np.shares_memory(folded.weights, conv.weights)
+        assert not np.shares_memory(folded.bias, conv.bias)
 
 
 class TestRelu:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 import struct
 import tracemalloc
 from pathlib import Path
@@ -20,6 +21,7 @@ from forgenet.errors import (
     WeightsFormatError,
 )
 from forgenet.layers import bce_loss
+from forgenet.tensor import flatten
 
 SMALL = model.NetworkConfig(conv_layers=2, filters=2, height=12, width=12, seed=9)
 
@@ -175,6 +177,22 @@ class TestForward:
         else:
             assert held < 64 * 1024
 
+    def test_inference_peak_memory(self, rng):
+        # With each BN folded into its conv, a block allocates only its conv
+        # output and ReLU output beside the shared patch buffer.
+        config = model.NetworkConfig(conv_layers=3, height=64, width=64, seed=3)
+        net = model.build(config)
+        x = rng.uniform(size=(16, 3, 64, 64)).astype(np.float32)
+        first_block_bytes = 16 * config.filters * 62 * 62 * x.itemsize
+        model.forward(net, x, training=False)  # one-off allocations happen here
+        tracemalloc.start()
+        try:
+            model.forward(net, x, training=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * first_block_bytes
+
 
 class TestBackward:
     def test_end_to_end_finite_differences(self, rng):
@@ -303,6 +321,35 @@ class TestAgainstReferenceConv:
                 clone_network(net, np.float64), x, training=training
             )
         assert np.abs(probs32 - probs64).max() <= 1e-5
+
+
+class TestFoldedInference:
+    """Inference folds each BN into its conv; these compare it with the
+    unfolded forward composed from tests/reference_layers.py."""
+
+    @staticmethod
+    def unfolded_probabilities(net, x):
+        h = x
+        for conv, bn in zip(net.convs, net.bns):
+            h, _ = reference_layers.batchnorm_forward(
+                reference_layers.conv2d_forward(h, conv), bn, training=False
+            )
+            h = layers.relu_forward(h)
+        return layers.sigmoid(layers.dense_forward(flatten(h), net.dense))
+
+    @pytest.mark.parametrize("batch,side", TestAgainstReferenceConv.SHAPES)
+    def test_matches_unfolded_in_inference_state(self, rng, monkeypatch, batch, side):
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        reference = importlib.import_module("reference")
+        net = model.build(model.NetworkConfig(height=side, width=side, seed=5))
+        reference.set_inference_state(net)
+        x = rng.uniform(size=(batch, 3, side, side)).astype(np.float32)
+        folded, cache = model.forward(net, x, training=False)
+        assert cache is None
+        assert folded.dtype == np.float32
+        expected = self.unfolded_probabilities(net, x)
+        assert np.abs(folded - expected).max() <= 1e-5
 
 
 class TestWeightsFile:

@@ -139,6 +139,27 @@ class TestTrain:
         for name, tensor in small.state_tensors().items():
             assert np.array_equal(tensor, before[name]), name
 
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_wrong_size_last_frame_aborts_before_updates(
+        self, synth_root, tmp_path, split
+    ):
+        _, manifests = synth_root
+        rows = list(manifests[split].rows)
+        odd = tmp_path / "odd.ppm"
+        data.write_ppm(np.zeros((3, 20, 20), np.float32), odd)
+        rows[-1] = dataclasses.replace(rows[-1], path=str(odd))
+        broken = {**manifests, split: data.DatasetManifest(rows, split)}
+        net = model.build(NET_CFG)
+        before = {k: v.copy() for k, v in net.state_tensors().items()}
+        # At batch 8 the last train row falls in the second shuffled batch,
+        # so a check made batch by batch would come after one update.
+        with pytest.raises(ShapeError, match="odd.ppm"):
+            trainer.train(
+                net, broken["train"], broken["val"], quick_config(batch_size=8)
+            )
+        for name, tensor in net.state_tensors().items():
+            assert np.array_equal(tensor, before[name]), name
+
     def test_empty_manifest_rejected(self, synth_root):
         _, manifests = synth_root
         empty = data.DatasetManifest(rows=[], split="train")
