@@ -191,6 +191,7 @@ def _eval_records(args: argparse.Namespace) -> list[eval_mod.PredictionRecord]:
         raise ConfigError("eval requires --weights and --manifest, or --predictions")
     net = model_mod.load_weights(args.weights)
     manifest = data_mod.read_manifest(args.manifest, split="test")
+    data_mod.check_frame_sizes((net.config.height, net.config.width), manifest)
     return eval_mod.predict_manifest(net, manifest, args.batch, args.threads)
 
 

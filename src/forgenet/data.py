@@ -213,6 +213,19 @@ def frame_size(path) -> tuple[int, int]:
     return height, width
 
 
+def check_frame_sizes(expected: tuple[int, int], *manifests: DatasetManifest) -> None:
+    """Reads the header of every frame, and no raster, so that a frame whose
+    (height, width) is not `expected` fails a run before its first batch."""
+    for manifest in manifests:
+        for row in manifest.rows:
+            size = frame_size(row.path)
+            if size != expected:
+                raise ShapeError(
+                    f"{row.path}: frame size {size} does not match "
+                    f"network input {expected}"
+                )
+
+
 def load_image(path) -> np.ndarray:
     """Decode a binary PPM (P6, maxval 255) into (1, 3, h, w) float32 in [0,1]."""
     data = Path(path).read_bytes()

@@ -8,6 +8,10 @@ squashed by a clamped sigmoid feeding binary cross-entropy.
 
 All functions are dtype-preserving so the same code runs the float32
 model path and the float64 finite-difference path.
+
+BN and ReLU overwrite arrays that only the model holds: `batchnorm_forward`
+turns its input into `xhat`, `relu_forward` clamps its input, and both
+backwards write d_input into their upstream (BN's also overwrites `xhat`).
 """
 
 from __future__ import annotations
@@ -219,7 +223,7 @@ def batchnorm_forward(
 ) -> tuple[np.ndarray, BatchNormCache]:
     """Per-channel standardization over (n, h, w) with batch statistics
     (biased variance), then affine gamma/beta. Updates the moving
-    statistics in place and returns the backward cache.
+    statistics in place and returns the backward cache, whose `xhat` is `x`.
     """
     require_rank(x, 4, "batchnorm input")
     n, c, h, w = x.shape
@@ -229,13 +233,16 @@ def batchnorm_forward(
         raise DegenerateBatchError(
             f"batchnorm training mode needs >= 2 samples per channel, got {n * h * w}"
         )
-    mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    mean = x.mean(axis=(0, 2, 3))
+    x -= mean.reshape(1, c, 1, 1)
+    var = np.einsum("nchw,nchw->c", x, x) / (n * h * w)
     inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-    xhat = (x - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
-    out = layer.gamma.reshape(1, c, 1, 1) * xhat + layer.beta.reshape(1, c, 1, 1)
+    x *= inv_std.reshape(1, c, 1, 1)
+    out = x * layer.gamma.reshape(1, c, 1, 1)
+    out += layer.beta.reshape(1, c, 1, 1)
     layer.moving_mean[:] = BN_MOMENTUM * layer.moving_mean + (1.0 - BN_MOMENTUM) * mean
     layer.moving_var[:] = BN_MOMENTUM * layer.moving_var + (1.0 - BN_MOMENTUM) * var
-    return out, BatchNormCache(xhat=xhat, var=var, inv_std=inv_std)
+    return out, BatchNormCache(xhat=x, var=var, inv_std=inv_std)
 
 
 def batchnorm_backward(
@@ -244,7 +251,7 @@ def batchnorm_backward(
     """Full gradient, with the mean/variance dependence, in the closed form
     d_input = gamma * inv_std / m * (m * upstream - d_beta - xhat * d_gamma)
     over m = n*h*w values per channel (Ioffe & Szegedy 2015, arXiv
-    1502.03167, section 3)."""
+    1502.03167, section 3), built in `upstream`; consumes `cache.xhat`."""
     if np.any(cache.var == 0.0):
         # The normalized output is constant in every direction that keeps the
         # channel constant; gradients through 1/sqrt(var+eps) are meaningless.
@@ -260,10 +267,13 @@ def batchnorm_backward(
     count = upstream.size // c
     d_gamma = (upstream * cache.xhat).sum(axis=(0, 2, 3), keepdims=True)
     d_beta = upstream.sum(axis=(0, 2, 3), keepdims=True)
-    scale = (layer.gamma * cache.inv_std / count).reshape(1, c, 1, 1)
-    d_input = scale * (count * upstream - d_beta - cache.xhat * d_gamma)
+    upstream *= count
+    upstream -= d_beta
+    cache.xhat *= d_gamma
+    upstream -= cache.xhat
+    upstream *= (layer.gamma * cache.inv_std / count).reshape(1, c, 1, 1)
     return LayerGradients(
-        d_input=d_input, d_gamma=d_gamma.reshape(c), d_beta=d_beta.reshape(c)
+        d_input=upstream, d_gamma=d_gamma.reshape(c), d_beta=d_beta.reshape(c)
     )
 
 
@@ -278,15 +288,16 @@ def batchnorm_fold(conv: ConvLayer, bn: BatchNormLayer) -> ConvLayer:
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+    return np.maximum(x, 0, out=x)
 
 
 def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Subgradient 0 at exactly 0. `x` may be the ReLU's input or its
-    output: both are positive at exactly the same elements."""
+    output: both are positive at exactly the same elements. Masks
+    `upstream` in place."""
     if x.shape != upstream.shape:
         raise ShapeError(f"relu upstream shape {upstream.shape} != input {x.shape}")
-    return upstream * (x > 0)
+    return np.multiply(upstream, x > 0, out=upstream)
 
 
 def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:

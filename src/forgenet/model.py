@@ -8,6 +8,9 @@ decodes only RGB PPM). Moving BN statistics count as stored parameters but
 never receive gradients. BN runs only in training, where a forward keeps
 each block's input and normalised values for backward. An inference
 forward folds each BN into its conv and keeps nothing.
+Each conv output, BN output and upstream gradient is a fresh array that
+only these passes hold, so BN and ReLU work in them (see `layers`); the
+image batch is never written. Backward pops each block from its cache.
 
 Weights file format (all integers little-endian u32, floats little-endian
 float32, no padding):
@@ -150,7 +153,8 @@ def build(config: NetworkConfig) -> Network:
 class ForwardCache:
     """What backward reads of a training forward. `activations` holds the
     image batch, then each block's ReLU output: block i's conv input is
-    activations[i] and its ReLU output activations[i + 1]."""
+    activations[i] and its ReLU output activations[i + 1]. It serves one
+    backward."""
 
     activations: list[np.ndarray]
     bn_caches: list[L.BatchNormCache]
@@ -203,23 +207,23 @@ def backward(
         raise ContractError(f"labels shape {y.shape} != batch shape {p.shape}")
     _, d_logits = L.bce_loss(p, y)
 
-    acts = cache.activations
+    acts, bn_caches = cache.activations, cache.bn_caches
+    if len(bn_caches) != len(net.convs):
+        raise ContractError("backward: cache already consumed by an earlier backward")
     grads: dict[str, np.ndarray] = {}
-    dg = L.dense_backward(flatten(acts[-1]), net.dense, d_logits)
-    grads["dense.weights"] = dg.d_weights
-    grads["dense.bias"] = dg.d_bias
-    d = unflatten(dg.d_input, acts[-1].shape)
+    g = L.dense_backward(flatten(acts[-1]), net.dense, d_logits)
+    grads["dense.weights"], grads["dense.bias"] = g.d_weights, g.d_bias
+    d = unflatten(g.d_input, acts[-1].shape)
     for i in reversed(range(len(net.convs))):
-        # The ReLU output is positive exactly where its input is.
-        d = L.relu_backward(acts[i + 1], d)
-        bg = L.batchnorm_backward(cache.bn_caches[i], net.bns[i], d)
-        grads[f"bn{i}.gamma"] = bg.d_gamma
-        grads[f"bn{i}.beta"] = bg.d_beta
+        # The ReLU output is positive exactly where its input is; block i's
+        # ReLU output and BN cache die once read.
+        d = L.relu_backward(acts.pop(), d)
+        g = L.batchnorm_backward(bn_caches.pop(), net.bns[i], d)
+        grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = g.d_gamma, g.d_beta
         # Block 0's input is the image batch; nothing reads its gradient.
-        cg = L.conv2d_backward(acts[i], net.convs[i], bg.d_input, input_grad=i > 0)
-        grads[f"conv{i}.weights"] = cg.d_weights
-        grads[f"conv{i}.bias"] = cg.d_bias
-        d = cg.d_input
+        g = L.conv2d_backward(acts[i], net.convs[i], d, input_grad=i > 0)
+        grads[f"conv{i}.weights"], grads[f"conv{i}.bias"] = g.d_weights, g.d_bias
+        d = g.d_input
     return grads
 
 

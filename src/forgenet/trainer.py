@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import data as data_mod
 from . import evaluator as eval_mod
 from . import model as model_mod
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError
 from .layers import bce_loss
 from .optim import AdamState, adam_step
 
@@ -73,22 +73,6 @@ def should_stop(val_history: list[float], delta: float) -> bool:
     return abs(val_history[-1] - val_history[-2]) < delta
 
 
-def _check_frame_sizes(
-    net: model_mod.Network, *manifests: data_mod.DatasetManifest
-) -> None:
-    """Reads the header of every frame, and no raster, so that a frame of
-    the wrong size fails the run before its first update."""
-    expected = (net.config.height, net.config.width)
-    for manifest in manifests:
-        for row in manifest.rows:
-            size = data_mod.frame_size(row.path)
-            if size != expected:
-                raise ShapeError(
-                    f"{row.path}: frame size {size} does not match "
-                    f"network input {expected}"
-                )
-
-
 def validation_accuracy(
     net: model_mod.Network,
     manifest: data_mod.DatasetManifest,
@@ -112,7 +96,8 @@ def train(
         raise ContractError("train: empty training manifest")
     if not val_manifest.rows:
         raise ContractError("train: empty validation manifest")
-    _check_frame_sizes(net, train_manifest, val_manifest)
+    expected = (net.config.height, net.config.width)
+    data_mod.check_frame_sizes(expected, train_manifest, val_manifest)
 
     params = net.parameters()
     adam = AdamState(lr=config.lr)

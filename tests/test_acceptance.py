@@ -93,11 +93,11 @@ def test_criterion_02_gradient_suite():
         up = rng.normal(size=x.shape)
 
         def bn_objective():
-            out, _ = layers.batchnorm_forward(x, layer)
+            out, _ = layers.batchnorm_forward(x.copy(), layer)
             return float((out * up).sum())
 
-        _, cache = layers.batchnorm_forward(x, layer)
-        grads = layers.batchnorm_backward(cache, layer, up)
+        _, cache = layers.batchnorm_forward(x.copy(), layer)
+        grads = layers.batchnorm_backward(cache, layer, up.copy())
         assert_close(grads.d_gamma, central_diff(bn_objective, layer.gamma), 1e-3)
         assert_close(grads.d_beta, central_diff(bn_objective, layer.beta), 1e-3)
         assert_close(grads.d_input, central_diff(bn_objective, x), 1e-3)

@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import json
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from forgenet import cli, data, evaluator, model
@@ -246,6 +248,26 @@ class TestEval:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: header: filters must be >= 1")
+
+    @pytest.mark.parametrize("batch", ["1", "4"])
+    def test_wrong_size_frame_fails_before_scoring(
+        self, cli_run, tmp_path, capsys, batch
+    ):
+        root, train_out = cli_run
+        rows = data.read_manifest(root / "test" / "manifest.csv", split="test").rows
+        odd = tmp_path / "odd.ppm"
+        data.write_ppm(np.zeros((3, 20, 20), np.float32), odd)
+        rows[-1] = dataclasses.replace(rows[-1], path=str(odd))
+        manifest = tmp_path / "manifest.csv"
+        data.write_manifest(data.DatasetManifest(rows, "test"), manifest)
+        out = tmp_path / "o"
+        code = cli.main([
+            "eval", "--weights", str(train_out / "weights.fgn"),
+            "--manifest", str(manifest), "--batch", batch, "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {odd}: frame size (20, 20)")
+        assert not (out / "predictions.csv").exists()
 
     def test_missing_weights_file_is_runtime_error(self, synth_root, tmp_path):
         root, _ = synth_root

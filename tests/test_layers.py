@@ -261,7 +261,7 @@ class TestBatchNormForward:
     def test_four_value_scalar_oracle(self):
         layer = make_bn(1, np.float32)
         x = np.array([1.0, 2.0, 3.0, 4.0], np.float32).reshape(1, 1, 2, 2)
-        out, _ = layers.batchnorm_forward(x, layer)
+        out, _ = layers.batchnorm_forward(x.copy(), layer)
         expected = (x - 2.5) / math.sqrt(1.25 + 1e-3)
         assert_close(out, expected, 1e-6, atol=1e-6)
 
@@ -290,10 +290,36 @@ class TestBatchNormForward:
         """Pre-affine output: mean 0, variance v/(v+eps) for batch variance v."""
         layer = make_bn(1)
         x = shift + scale * np.random.default_rng(seed).normal(size=(2, 1, 4, 4))
-        out, _ = layers.batchnorm_forward(x, layer)
+        out, _ = layers.batchnorm_forward(x.copy(), layer)
         v = x.var(axis=(0, 2, 3))[0]
         assert abs(out.mean()) < 1e-9
         assert abs(out.var() - v / (v + layers.BN_EPSILON)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 2, 3, 3), (16, 4, 30, 30)], ids=lambda s: "x".join(map(str, s))
+    )
+    def test_float64_matches_reference(self, rng, shape):
+        c = shape[1]
+        layer = make_bn(c, gamma=rng.uniform(0.5, 1.5, c), beta=rng.normal(size=c))
+        ref_layer = make_bn(c, gamma=layer.gamma, beta=layer.beta)
+        x = rng.normal(loc=0.5, scale=2.0, size=shape)
+        expected, ref_cache = reference_layers.batchnorm_forward(x, ref_layer, True)
+        out, cache = layers.batchnorm_forward(x.copy(), layer)
+        pairs = [
+            ("output", out, expected),
+            ("xhat", cache.xhat, ref_cache.xhat),
+            ("var", cache.var, ref_cache.var),
+            ("moving_mean", layer.moving_mean, ref_layer.moving_mean),
+            ("moving_var", layer.moving_var, ref_layer.moving_var),
+        ]
+        for name, got, want in pairs:
+            assert_close(got, want, 1e-9, atol=1e-9 * np.abs(want).max(), what=name)
+
+    def test_takes_over_its_input(self, rng):
+        # The conv output becomes xhat: no full-size copy is made of it.
+        x = rng.normal(size=(2, 3, 4, 4))
+        _, cache = layers.batchnorm_forward(x, make_bn(3))
+        assert cache.xhat is x
 
 
 class TestBatchNormBackward:
@@ -311,7 +337,7 @@ class TestBatchNormBackward:
         x = rng.normal(size=(2, 3, 2, 2))
         upstream = rng.normal(size=x.shape)
         _, cache = layers.batchnorm_forward(x, layer)
-        grads = layers.batchnorm_backward(cache, layer, upstream)
+        grads = layers.batchnorm_backward(cache, layer, upstream.copy())
         assert_close(grads.d_beta, upstream.sum(axis=(0, 2, 3)), 1e-12)
 
     def test_matches_finite_differences(self, rng):
@@ -320,11 +346,11 @@ class TestBatchNormBackward:
         upstream = rng.normal(size=x.shape)
 
         def objective():
-            out, _ = layers.batchnorm_forward(x, layer)
+            out, _ = layers.batchnorm_forward(x.copy(), layer)
             return float(np.sum(upstream * out))
 
-        _, cache = layers.batchnorm_forward(x, layer)
-        grads = layers.batchnorm_backward(cache, layer, upstream)
+        _, cache = layers.batchnorm_forward(x.copy(), layer)
+        grads = layers.batchnorm_backward(cache, layer, upstream.copy())
         assert_close(grads.d_gamma, central_diff(objective, layer.gamma), 1e-4)
         assert_close(grads.d_beta, central_diff(objective, layer.beta), 1e-4)
         assert_close(grads.d_input, central_diff(objective, x), 1e-4, atol=1e-6)
@@ -345,8 +371,8 @@ class TestBatchNormBackward:
         x = rng.normal(loc=0.5, scale=2.0, size=shape)
         upstream = rng.normal(size=shape)
         _, cache = layers.batchnorm_forward(x, layer)
-        got = layers.batchnorm_backward(cache, layer, upstream)
         expected = reference_layers.batchnorm_backward(cache, layer, upstream)
+        got = layers.batchnorm_backward(cache, layer, upstream)
         for name in ("d_input", "d_gamma", "d_beta"):
             want = getattr(expected, name)
             assert_close(getattr(got, name), want, 1e-9,
@@ -358,8 +384,8 @@ class TestBatchNormBackward:
         x = rng.normal(size=(16, 4, 30, 30)).astype(np.float32)
         upstream = rng.normal(size=x.shape).astype(np.float32)
         _, cache = layers.batchnorm_forward(x, layer)
-        got = layers.batchnorm_backward(cache, layer, upstream)
         expected = reference_layers.batchnorm_backward(cache, layer, upstream)
+        got = layers.batchnorm_backward(cache, layer, upstream)
         assert got.d_input.dtype == np.float32
         assert np.array_equal(got.d_gamma, expected.d_gamma)
         assert np.array_equal(got.d_beta, expected.d_beta)
@@ -426,8 +452,8 @@ class TestRelu:
         x = np.array([-2.0, -0.0, 0.0, 1e-30, 3.0, np.nan, -np.inf, np.inf],
                      np.float32).reshape(1, 2, 2, 2)
         upstream = rng.normal(size=x.shape).astype(np.float32)
-        via_output = layers.relu_backward(layers.relu_forward(x), upstream)
-        via_input = layers.relu_backward(x, upstream)
+        via_output = layers.relu_backward(layers.relu_forward(x.copy()), upstream.copy())
+        via_input = layers.relu_backward(x, upstream.copy())
         assert via_output.tobytes() == via_input.tobytes()
 
     @given(seed=st.integers(0, 2**31))
@@ -435,7 +461,7 @@ class TestRelu:
     def test_idempotent(self, seed):
         x = np.random.default_rng(seed).normal(size=(1, 2, 3, 3)).astype(np.float32)
         once = layers.relu_forward(x)
-        assert np.array_equal(layers.relu_forward(once), once)
+        assert np.array_equal(layers.relu_forward(once.copy()), once)
 
 
 class TestDense:

@@ -21,6 +21,7 @@ from forgenet.errors import (
     WeightsFormatError,
 )
 from forgenet.layers import bce_loss
+from forgenet.optim import AdamState, adam_step
 from forgenet.tensor import flatten
 
 SMALL = model.NetworkConfig(conv_layers=2, filters=2, height=12, width=12, seed=9)
@@ -177,6 +178,40 @@ class TestForward:
         else:
             assert held < 64 * 1024
 
+    def test_backward_peak_memory(self, rng):
+        # Backward writes each gradient into its upstream and drops every
+        # block's activation and BN cache once its conv gradient is taken.
+        config = model.NetworkConfig(conv_layers=4, height=64, width=64, seed=3)
+        net = model.build(config)
+        x = rng.uniform(size=(16, 3, 64, 64)).astype(np.float32)
+        y = (np.arange(16) % 2).astype(np.float32)
+        block_bytes = sum(
+            x.shape[0] * config.filters * (64 - 2 * i) ** 2 * x.itemsize
+            for i in range(1, config.conv_layers + 1)
+        )
+        _, cache = model.forward(net, x, training=True)
+        model.backward(net, cache, y)  # one-off allocations happen here
+        tracemalloc.start()
+        try:
+            _, cache = model.forward(net, x, training=True)
+            tracemalloc.reset_peak()
+            model.backward(net, cache, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * block_bytes
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_leaves_input_unchanged(self, rng, training):
+        net = model.build(SMALL)
+        x = rng.uniform(-1.0, 1.0, size=(4, 3, 12, 12)).astype(np.float32)
+        before = x.copy()
+        _, cache = model.forward(net, x, training)
+        assert x.tobytes() == before.tobytes()
+        if training:
+            model.backward(net, cache, np.array([0.0, 1.0, 0.0, 1.0], np.float32))
+            assert x.tobytes() == before.tobytes()
+
     def test_inference_peak_memory(self, rng):
         # With each BN folded into its conv, a block allocates only its conv
         # output and ReLU output beside the shared patch buffer.
@@ -243,6 +278,29 @@ class TestBackward:
         with pytest.raises(DegenerateBatchError):
             model.backward(net, cache, np.zeros(2, np.float32))
 
+    def test_second_backward_on_one_cache_rejected(self, rng):
+        net = model.build(SMALL)
+        x = rng.uniform(size=(2, 3, 12, 12)).astype(np.float32)
+        y = np.array([0.0, 1.0], np.float32)
+        _, cache = model.forward(net, x, training=True)
+        model.backward(net, cache, y)
+        with pytest.raises(ContractError, match="consumed"):
+            model.backward(net, cache, y)
+
+    def test_train_step_raises_no_floating_point_error(self, rng):
+        config = model.NetworkConfig(conv_layers=3, height=32, width=32, seed=3)
+        net = model.build(config)
+        x = rng.uniform(size=(16, 3, 32, 32)).astype(np.float32)
+        y = (np.arange(16) % 2).astype(np.float32)
+        params = net.parameters()
+        before = {k: v.copy() for k, v in params.items()}
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            probs, cache = model.forward(net, x, training=True)
+            bce_loss(probs, y)
+            adam_step(params, model.backward(net, cache, y), AdamState())
+        assert all(np.isfinite(v).all() for v in params.values())
+        assert any(not np.array_equal(v, before[k]) for k, v in params.items())
+
     def test_label_shape_mismatch_rejected(self, rng):
         net = model.build(SMALL)
         x = rng.uniform(size=(2, 3, 12, 12)).astype(np.float32)
@@ -261,8 +319,10 @@ def train_pass(monkeypatch, net, x, y, conv_forward, conv_backward):
     conv_outputs = []
 
     def recording_forward(h, layer):
-        conv_outputs.append(conv_forward(h, layer))
-        return conv_outputs[-1]
+        # BN takes over the conv output, so keep a copy in its memory order.
+        out = conv_forward(h, layer)
+        conv_outputs.append(out.copy(order="K"))
+        return out
 
     with monkeypatch.context() as patch:
         patch.setattr(layers, "conv2d_forward", recording_forward)
