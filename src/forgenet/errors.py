@@ -23,8 +23,7 @@ class ConfigError(ForgenetError, ValueError):
 
 
 class DegenerateBatchError(ForgenetError, ValueError):
-    """Batch statistics cannot be formed (single-element channel, or
-    zero-variance channel at gradient time)."""
+    """Batch statistics cannot be formed: a channel has fewer than 2 values."""
 
 
 class NonFiniteGradientError(ForgenetError, FloatingPointError):

@@ -16,6 +16,7 @@ backwards write d_input into their upstream (BN's also overwrites `xhat`).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,33 +131,23 @@ def _im2col(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return cols.reshape(m, c * KERNEL * KERNEL, ho * wo)
 
 
-def _patch_buffer(
-    x: np.ndarray, blocks: list[tuple[slice, slice]], wo: int
-) -> np.ndarray:
-    """Flat buffer large enough for the patch matrix of any of the blocks."""
-    outputs = max((s.stop - s.start) * (r.stop - r.start) for s, r in blocks)
-    return np.empty(outputs * x.shape[1] * KERNEL * KERNEL * wo, dtype=x.dtype)
-
-
-def _correlate(x: np.ndarray, wmat: np.ndarray, out: np.ndarray) -> None:
-    """Fill the C-contiguous (n, k, h-2, w-2) `out` with the valid 3x3
-    correlation of the (n, c, h, w) `x` with the (k, c*9) `wmat`: one GEMM
-    per block (see PATCH_BYTES), `wmat` times the block's patch matrix,
-    written straight into `out`."""
-    _, k, ho, wo = out.shape
+def _patches(
+    x: np.ndarray, ho: int, wo: int
+) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """Yield (samples, rows, patch matrix) for each of `_blocks(x, ho, wo)`:
+    the im2col of the input rows that the block's (ho, wo) outputs read.
+    Every patch matrix is a view of one buffer, overwritten by the next."""
     blocks = _blocks(x, ho, wo)
-    buf = _patch_buffer(x, blocks, wo)
+    outputs = max((s.stop - s.start) * (r.stop - r.start) for s, r in blocks)
+    buf = np.empty(outputs * x.shape[1] * KERNEL * KERNEL * wo, dtype=x.dtype)
     for samples, rows in blocks:
-        cols = _im2col(x[samples, :, rows.start : rows.stop + KERNEL - 1], buf)
-        # A band of whole rows of a C-contiguous array reshapes to a view.
-        np.matmul(wmat, cols, out=out[samples, :, rows].reshape(len(cols), k, -1))
+        band = x[samples, :, rows.start : rows.stop + KERNEL - 1]
+        yield samples, rows, _im2col(band, buf)
 
 
 def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """out(i,f,y,x) = bias(f) + sum_{c,dy,dx} w(f,c,dy,dx) * x(i,c,y+dy,x+dx).
-
-    The (n, k, ho, wo) output is C-contiguous; see _correlate.
-    """
+    """out(i,f,y,x) = bias(f) + sum_{c,dy,dx} w(f,c,dy,dx) * x(i,c,y+dy,x+dx),
+    one GEMM per block of patches into the C-contiguous (n, k, ho, wo) out."""
     require_rank(x, 4, "conv input")
     n, c, h, w = x.shape
     if h < KERNEL or w < KERNEL:
@@ -167,8 +158,11 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
         )
     k = layer.filters
     wmat = layer.weights.reshape(k, -1)
-    out = np.empty((n, k, h - KERNEL + 1, w - KERNEL + 1), np.result_type(wmat, x))
-    _correlate(x, wmat, out)
+    ho, wo = h - KERNEL + 1, w - KERNEL + 1
+    out = np.empty((n, k, ho, wo), np.result_type(wmat, x))
+    for samples, rows, cols in _patches(x, ho, wo):
+        # A band of whole rows of a C-contiguous array reshapes to a view.
+        np.matmul(wmat, cols, out=out[samples, :, rows].reshape(len(cols), k, -1))
     out += layer.bias.reshape(1, k, 1, 1)
     return out
 
@@ -178,14 +172,16 @@ def conv2d_backward(
 ) -> LayerGradients:
     """Gradients of conv2d_forward under sum(upstream * output).
 
-    d_weights works block by block like the forward pass and rebuilds each
-    patch matrix from `x` rather than keeping it from the forward pass.
-    d_input is itself a valid correlation: that of the upstream, zero-padded
-    by 2, with each kernel rotated 180 degrees and the in/out channel axes
-    swapped, d_x(i,c,y,x) = sum_{f,dy,dx} w(f,c,2-dy,2-dx) *
-    pad(upstream)(i,f,y+dy,x+dx) (Dumoulin & Visin 2016, arXiv 1603.07285,
-    section 4). With `input_grad=False` (the first block, whose input is the
-    image) it is skipped and d_input is None.
+    Each block builds one patch matrix P of the upstream zero-padded by 2,
+    over the block's (h, w) input positions, and both gradients read it.
+    d_input is the flipped weights times P: the valid correlation of the
+    padded upstream with each kernel rotated 180 degrees and the in/out
+    channel axes swapped, d_x(i,c,y,x) = sum_{f,ey,ex} w(f,c,2-ey,2-ex) *
+    pad(up)(i,f,y+ey,x+ex) (Dumoulin & Visin 2016, arXiv 1603.07285, sec. 4).
+    d_weights is the block's rows of x times P^T, a (c, k*9) matrix flipped
+    back, since sum_{i,y,x} x(i,c,y,x) * pad(up)(i,f,y+ey,x+ex) =
+    d_w(f,c,2-ey,2-ex). With `input_grad=False` (the first block, whose
+    input is the image) the d_input GEMM is skipped and d_input is None.
     """
     require_rank(x, 4, "conv input")
     require_rank(upstream, 4, "conv upstream")
@@ -197,24 +193,19 @@ def conv2d_backward(
             f"conv upstream shape {upstream.shape} != forward output "
             f"shape {(n, k, ho, wo)}"
         )
-    d_weights = np.zeros((k, c * KERNEL * KERNEL), dtype=np.result_type(upstream, x))
-    blocks = _blocks(x, ho, wo)
-    buf = _patch_buffer(x, blocks, wo)
-    for samples, rows in blocks:
-        cols = _im2col(x[samples, :, rows.start : rows.stop + KERNEL - 1], buf)
-        up = upstream[samples, :, rows].reshape(len(cols), k, -1)
-        d_weights += np.matmul(up, cols.transpose(0, 2, 1)).sum(axis=0)
-    d_input = None
-    if input_grad:
-        p = KERNEL - 1
-        flipped = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-        d_input = np.empty_like(x)
-        _correlate(np.pad(upstream, ((0, 0), (0, 0), (p, p), (p, p))), flipped, d_input)
-    d_bias = upstream.sum(axis=(0, 2, 3))
+    p = KERNEL - 1
+    padded = np.pad(upstream, ((0, 0), (0, 0), (p, p), (p, p)))
+    flipped = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+    d_input = np.empty_like(x) if input_grad else None
+    d_flipped = np.zeros((c, k * KERNEL * KERNEL), dtype=np.result_type(upstream, x))
+    for samples, rows, cols in _patches(padded, h, w):
+        x_rows = x[samples, :, rows].reshape(len(cols), c, -1)
+        d_flipped += np.matmul(x_rows, cols.transpose(0, 2, 1)).sum(axis=0)
+        if input_grad:
+            np.matmul(flipped, cols, out=d_input[samples, :, rows].reshape(x_rows.shape))
+    d_weights = d_flipped.reshape(c, k, KERNEL, KERNEL)[:, :, ::-1, ::-1]
     return LayerGradients(
-        d_input=d_input,
-        d_weights=d_weights.reshape(layer.weights.shape),
-        d_bias=d_bias,
+        d_input, d_weights.transpose(1, 0, 2, 3), upstream.sum(axis=(0, 2, 3))
     )
 
 
@@ -251,13 +242,9 @@ def batchnorm_backward(
     """Full gradient, with the mean/variance dependence, in the closed form
     d_input = gamma * inv_std / m * (m * upstream - d_beta - xhat * d_gamma)
     over m = n*h*w values per channel (Ioffe & Szegedy 2015, arXiv
-    1502.03167, section 3), built in `upstream`; consumes `cache.xhat`."""
-    if np.any(cache.var == 0.0):
-        # The normalized output is constant in every direction that keeps the
-        # channel constant; gradients through 1/sqrt(var+eps) are meaningless.
-        raise DegenerateBatchError(
-            "batchnorm gradient undefined for zero-variance channel"
-        )
+    1502.03167, section 3), built in `upstream`; consumes `cache.xhat`.
+    BN_EPSILON > 0 keeps it exact on a constant channel, where xhat = 0 and
+    d_input = gamma * inv_std * (upstream - mean upstream)."""
     require_rank(upstream, 4, "batchnorm upstream")
     if upstream.shape != cache.xhat.shape:
         raise ShapeError(

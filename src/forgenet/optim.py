@@ -6,7 +6,7 @@ Update rule per step t (elementwise over each parameter tensor):
     m_hat = m / (1 - beta1^t)         v_hat = v / (1 - beta2^t)
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
 
-Defaults beta1=0.9, beta2=0.999, eps=1e-8; only the learning rate is a
+beta1, beta2 and eps are the constants below; only the learning rate is a
 training hyperparameter here.
 """
 
@@ -20,13 +20,14 @@ from .errors import ContractError, NonFiniteGradientError
 
 ParamSet = dict[str, np.ndarray]
 
+ADAM_BETA1 = 0.9  # decay of the first-moment estimate
+ADAM_BETA2 = 0.999  # decay of the second-moment estimate
+ADAM_EPSILON = 1e-8  # added to sqrt(v_hat) in the denominator
+
 
 @dataclass
 class AdamState:
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: ParamSet = field(default_factory=dict)
     v: ParamSet = field(default_factory=dict)
@@ -58,7 +59,7 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> None:
 
     state._ensure_moments(params)
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
     for name, p in params.items():
@@ -69,4 +70,4 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> None:
         v[...] = b2 * v + (1.0 - b2) * (g * g)
         m_hat = m / bias1
         v_hat = v / bias2
-        p[...] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p[...] = p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import data as data_mod
 from . import evaluator as eval_mod
 from . import model as model_mod
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, NonFiniteGradientError
 from .layers import bce_loss
 from .optim import AdamState, adam_step
 
@@ -91,7 +91,9 @@ def train(
     config: TrainConfig,
 ) -> tuple[model_mod.Network, list[EpochRecord], str]:
     """Run up to config.epochs of Adam updates; returns the trained network,
-    one record per completed epoch, and why training stopped."""
+    one record per completed epoch, and why training stopped. A non-finite
+    gradient stops training with an error that names its epoch, its batch
+    and the batch's first (video_id, frame_index)."""
     if not train_manifest.rows:
         raise ContractError("train: empty training manifest")
     if not val_manifest.rows:
@@ -113,14 +115,21 @@ def train(
         batches = data_mod.make_batches(
             train_manifest, config.batch_size, shuffle=True, seed=[config.seed, epoch]
         )
-        for indices in batches:
+        for position, indices in enumerate(batches, start=1):
             batch = data_mod.assemble_batch(
                 train_manifest, indices, threads=config.loader_threads
             )
             probs, cache = model_mod.forward(net, batch.x, training=True)
             loss, _ = bce_loss(probs, batch.y)
             grads = model_mod.backward(net, cache, batch.y)
-            adam_step(params, grads, adam)
+            try:
+                adam_step(params, grads, adam)
+            except NonFiniteGradientError as exc:
+                video_id, frame_index = batch.provenance[0]
+                raise NonFiniteGradientError(
+                    f"epoch {epoch}, batch {position} (first sample: video "
+                    f"{video_id!r}, frame {frame_index}): {exc}"
+                ) from exc
             n = len(indices)
             loss_sum += loss * n
             correct += int(

@@ -17,7 +17,7 @@ from fdcheck import assert_close, central_diff, clone_network
 from forgenet import ablation, cli, evaluator, layers, model, trainer
 from forgenet.errors import WeightsFormatError
 from forgenet.evaluator import PredictionRecord
-from forgenet.optim import AdamState, adam_step
+from forgenet.optim import ADAM_BETA1, AdamState, adam_step
 from test_evaluator import brute_force_video_recount, random_prediction_log
 
 
@@ -187,7 +187,7 @@ def test_criterion_04_adam_closed_form():
     for step in range(1, 51):
         adam_step(params, grads, state)
         if step in (1, 5, 50):
-            m_hat = state.m["w"][0] / (1.0 - state.beta1**state.t)
+            m_hat = state.m["w"][0] / (1.0 - ADAM_BETA1**state.t)
             assert abs(m_hat - 0.7) < 1e-6, f"t={step}: m_hat={m_hat}"
 
 

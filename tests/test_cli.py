@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from forgenet import cli, data, evaluator, model
+from forgenet import cli, data, evaluator, model, trainer
+from forgenet.errors import NonFiniteGradientError
 from forgenet.evaluator import PredictionRecord
 
 
@@ -111,6 +112,38 @@ class TestTrain:
         assert payload["version"].startswith("forgenet-")
         assert payload["config"]["network"]["conv_layers"] == 2
         assert str(out / "weights.fgn") in payload["outputs"]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_gradient_names_its_batch(
+        self, synth_root, tmp_path, monkeypatch, capsys
+    ):
+        root, manifests = synth_root
+        build = model.build
+
+        def poisoned(config):
+            net = build(config)
+            net.dense.weights[0, 0] = np.nan
+            return net
+
+        monkeypatch.setattr(model, "build", poisoned)
+        config = model.NetworkConfig(conv_layers=2, filters=2, height=24, width=24)
+        with pytest.raises(NonFiniteGradientError) as info:
+            trainer.train(
+                model.build(config), manifests["train"], manifests["val"],
+                trainer.TrainConfig(epochs=1, batch_size=16),
+            )
+        code = cli.main([
+            "train",
+            "--manifest", str(root / "train" / "manifest.csv"),
+            "--val-manifest", str(root / "val" / "manifest.csv"),
+            "--out", str(tmp_path),
+            "--layers", "2", "--filters", "2", "--size", "24",
+            "--batch", "16", "--epochs", "1",
+        ])
+        assert code == 1
+        assert str(info.value).startswith("epoch 1, batch 1 (first sample: video 'vid")
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {info.value}"
+        assert not (tmp_path / "weights.fgn").exists()
 
 
 class TestEval:

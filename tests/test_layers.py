@@ -163,22 +163,30 @@ class TestConvAgainstReference:
             assert_rel(getattr(grads, name), getattr(expected, name), 1e-9, name)
 
     def test_float32_gradients_match_float64_reference(self, rng):
-        """All three float32 gradients at the paper frame size, against the
-        float64 reference on the same values."""
-        x = rng.normal(size=(4, 4, 128, 128)).astype(np.float32)
-        layer = make_conv(rng, 4, 4, dtype=np.float32)
-        upstream = rng.normal(size=(4, 4, 126, 126)).astype(np.float32)
-        grads = layers.conv2d_backward(x, layer, upstream)
-        layer64 = layers.ConvLayer(
-            weights=layer.weights.astype(np.float64), bias=layer.bias.astype(np.float64)
-        )
-        expected = reference_layers.conv2d_backward(
-            x.astype(np.float64), layer64, upstream.astype(np.float64)
-        )
-        for name in ("d_input", "d_weights", "d_bias"):
-            got = getattr(grads, name)
-            assert got.dtype == np.float32, name
-            assert_rel(got, getattr(expected, name), 1e-5, name)
+        """The float32 gradients at the paper frame size, against the float64
+        reference on the same values: all three of a hidden block, and the
+        two of a first block (3 channels, no input gradient)."""
+        for in_channels, input_grad in ((4, True), (3, False)):
+            x = rng.normal(size=(4, in_channels, 128, 128)).astype(np.float32)
+            layer = make_conv(rng, 4, in_channels, dtype=np.float32)
+            upstream = rng.normal(size=(4, 4, 126, 126)).astype(np.float32)
+            grads = layers.conv2d_backward(x, layer, upstream, input_grad)
+            layer64 = layers.ConvLayer(
+                weights=layer.weights.astype(np.float64),
+                bias=layer.bias.astype(np.float64),
+            )
+            expected = reference_layers.conv2d_backward(
+                x.astype(np.float64), layer64, upstream.astype(np.float64)
+            )
+            names = ("d_weights", "d_bias")
+            if input_grad:
+                names += ("d_input",)
+            else:
+                assert grads.d_input is None
+            for name in names:
+                got = getattr(grads, name)
+                assert got.dtype == np.float32, name
+                assert_rel(got, getattr(expected, name), 1e-5, name)
 
     @pytest.mark.parametrize(
         "shape",
@@ -198,14 +206,17 @@ class TestConvAgainstReference:
         assert (seen == 1).all()
 
     def test_without_input_grad_same_parameter_gradients(self, rng):
-        x = rng.normal(size=(3, 3, 9, 7))
-        layer = make_conv(rng, 4, 3)
-        upstream = rng.normal(size=(3, 4, 7, 5))
-        full = layers.conv2d_backward(x, layer, upstream)
-        skipped = layers.conv2d_backward(x, layer, upstream, input_grad=False)
-        assert skipped.d_input is None
-        assert np.array_equal(skipped.d_weights, full.d_weights)
-        assert np.array_equal(skipped.d_bias, full.d_bias)
+        # The last two shapes run in bands of rows of one sample.
+        for shape in ((3, 3, 9, 7), (2, 3, 4, 2002), (1, 3, 128, 128)):
+            n, c, h, w = shape
+            x = rng.normal(size=shape)
+            layer = make_conv(rng, 4, c)
+            upstream = rng.normal(size=(n, 4, h - 2, w - 2))
+            full = layers.conv2d_backward(x, layer, upstream)
+            skipped = layers.conv2d_backward(x, layer, upstream, input_grad=False)
+            assert skipped.d_input is None
+            assert np.array_equal(skipped.d_weights, full.d_weights), shape
+            assert np.array_equal(skipped.d_bias, full.d_bias), shape
 
 
 def test_float32_batch_statistics_at_paper_shape(rng, monkeypatch):
@@ -340,9 +351,9 @@ class TestBatchNormBackward:
         grads = layers.batchnorm_backward(cache, layer, upstream.copy())
         assert_close(grads.d_beta, upstream.sum(axis=(0, 2, 3)), 1e-12)
 
-    def test_matches_finite_differences(self, rng):
+    @staticmethod
+    def check_finite_differences(rng, x):
         layer = make_bn(2, gamma=rng.normal(size=2), beta=rng.normal(size=2))
-        x = rng.normal(size=(2, 2, 3, 3))
         upstream = rng.normal(size=x.shape)
 
         def objective():
@@ -354,13 +365,17 @@ class TestBatchNormBackward:
         assert_close(grads.d_gamma, central_diff(objective, layer.gamma), 1e-4)
         assert_close(grads.d_beta, central_diff(objective, layer.beta), 1e-4)
         assert_close(grads.d_input, central_diff(objective, x), 1e-4, atol=1e-6)
+        return cache
 
-    def test_zero_variance_channel_rejected(self):
-        layer = make_bn(1, np.float32)
-        x = np.full((2, 1, 2, 2), 1.25, np.float32)
-        _, cache = layers.batchnorm_forward(x, layer)
-        with pytest.raises(DegenerateBatchError):
-            layers.batchnorm_backward(cache, layer, np.ones_like(x))
+    def test_matches_finite_differences(self, rng):
+        self.check_finite_differences(rng, rng.normal(size=(2, 2, 3, 3)))
+
+    def test_zero_variance_channel_matches_finite_differences(self, rng):
+        # Channel 0 is constant, so its batch variance is exactly 0.
+        x = rng.normal(size=(2, 2, 3, 3))
+        x[:, 0] = 1.25
+        cache = self.check_finite_differences(rng, x)
+        assert cache.var[0] == 0.0
 
     @pytest.mark.parametrize(
         "shape", [(2, 2, 3, 3), (16, 4, 30, 30)], ids=lambda s: "x".join(map(str, s))

@@ -16,7 +16,6 @@ from forgenet import layers, model
 from forgenet.errors import (
     ConfigError,
     ContractError,
-    DegenerateBatchError,
     ShapeError,
     WeightsFormatError,
 )
@@ -267,16 +266,21 @@ class TestBackward:
         with pytest.raises(ContractError):
             model.backward(net, cache, np.zeros(2, np.float32))
 
-    def test_zero_variance_channel_degenerate_on_backward(self, rng):
+    def test_zero_variance_channel_trains(self, rng):
         # Zeroed conv weights make the layer output bitwise constant, the
         # one way float32 arithmetic yields an exactly zero batch variance.
         net = model.build(SMALL)
         net.convs[0].weights[...] = 0.0
         x = rng.uniform(size=(2, 3, 12, 12)).astype(np.float32)
-        probs, cache = model.forward(net, x, training=True)  # forward tolerates it
-        assert probs.shape == (2,)
-        with pytest.raises(DegenerateBatchError):
-            model.backward(net, cache, np.zeros(2, np.float32))
+        y = np.array([0.0, 1.0], np.float32)
+        _, cache = model.forward(net, x, training=True)
+        assert not cache.bn_caches[0].var.any()
+        grads = model.backward(net, cache, y)
+        for name, g in grads.items():
+            assert np.all(np.isfinite(g)), name
+        state = AdamState()
+        adam_step(net.parameters(), grads, state)
+        assert state.t == 1
 
     def test_second_backward_on_one_cache_rejected(self, rng):
         net = model.build(SMALL)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forgenet.errors import ContractError, NonFiniteGradientError
-from forgenet.optim import AdamState, adam_step
+from forgenet.optim import ADAM_BETA1, AdamState, adam_step
 
 
 def params_of(*arrays):
@@ -45,7 +45,7 @@ class TestAdamStep:
         state = AdamState()
         for _ in range(steps):
             adam_step(params, {"p0": g.copy()}, state)
-        m_hat = state.m["p0"][0] / (1.0 - state.beta1**state.t)
+        m_hat = state.m["p0"][0] / (1.0 - ADAM_BETA1**state.t)
         assert abs(m_hat - g[0]) < 1e-6
 
     def test_first_step_invariant_to_gradient_scale(self):

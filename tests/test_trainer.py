@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from forgenet import data, model, trainer
-from forgenet.errors import ConfigError, ContractError, ShapeError
+from forgenet.errors import (
+    ConfigError,
+    ContractError,
+    NonFiniteGradientError,
+    ShapeError,
+)
 
 NET_CFG = model.NetworkConfig(conv_layers=2, filters=2, height=24, width=24, seed=3)
 
@@ -159,6 +164,24 @@ class TestTrain:
             )
         for name, tensor in net.state_tensors().items():
             assert np.array_equal(tensor, before[name]), name
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_gradient_names_its_batch(self, synth_root):
+        _, manifests = synth_root
+        net = model.build(NET_CFG)
+        net.dense.weights[0, 0] = np.nan
+        before = {k: v.copy() for k, v in net.parameters().items()}
+        first = data.make_batches(manifests["train"], 16, shuffle=True, seed=[0, 1])
+        row = manifests["train"].rows[first[0][0]]
+        expected = (
+            f"epoch 1, batch 1 (first sample: video '{row.video_id}', "
+            f"frame {row.frame_index}): non-finite gradient for "
+        )
+        with pytest.raises(NonFiniteGradientError) as info:
+            trainer.train(net, manifests["train"], manifests["val"], quick_config())
+        assert str(info.value).startswith(expected)
+        for name, tensor in net.parameters().items():
+            assert np.array_equal(tensor, before[name], equal_nan=True), name
 
     def test_empty_manifest_rejected(self, synth_root):
         _, manifests = synth_root
