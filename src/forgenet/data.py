@@ -226,14 +226,28 @@ def check_frame_sizes(expected: tuple[int, int], *manifests: DatasetManifest) ->
                 )
 
 
-def load_image(path) -> np.ndarray:
-    """Decode a binary PPM (P6, maxval 255) into (1, 3, h, w) float32 in [0,1]."""
+def load_image(path, out: np.ndarray | None = None) -> np.ndarray:
+    """Decode a binary PPM (P6, maxval 255) into (1, 3, h, w) float32 in
+    [0,1], channels R, G, B: into `out` when given (a C-contiguous float32
+    array of that shape, or ShapeError naming the path), else into a new
+    array."""
     data = Path(path).read_bytes()
     height, width, pos = _ppm_header(data, path)
     _check_raster_length(len(data) - pos, height, width, path)
+    shape = (1, 3, height, width)
+    if out is None:
+        out = np.empty(shape, np.float32)
+    elif out.shape != shape:
+        raise ShapeError(
+            f"{path}: frame shape {shape[1:]} != batch shape {out.shape[1:]}"
+        )
     pixels = np.frombuffer(data, np.uint8, 3 * height * width, pos)
-    x = pixels.reshape(height, width, 3).astype(np.float32) / 255.0
-    return x.transpose(2, 0, 1)[np.newaxis]  # (1, 3, h, w), channels R,G,B
+    # Interleaved RGB in, one plane per channel out; over 2-d views numpy
+    # runs this transpose at the speed of a contiguous divide. copy=False
+    # makes a non-contiguous `out` fail rather than fill a discarded copy.
+    planes = np.reshape(out, (3, height * width), copy=False)
+    np.divide(pixels.reshape(height * width, 3).T, np.float32(255), out=planes)
+    return out
 
 
 def write_ppm(pixels: np.ndarray, path) -> None:
@@ -275,24 +289,30 @@ class Batch:
 
 
 def assemble_batch(
-    manifest: DatasetManifest, indices: list[int], threads: int = 1
+    manifest: DatasetManifest,
+    indices: list[int],
+    threads: int = 1,
+    out: np.ndarray | None = None,
 ) -> Batch:
-    """Load and stack the given rows. Loading may be parallel; assembly
-    order always follows `indices` regardless of completion order."""
+    """Decode the given rows into one C-contiguous (len(indices), 3, h, w)
+    float32 array: `out` when given, else a new array sized by the first
+    row's frame. Row j lands in x[j] whatever order parallel loads finish
+    in; a frame of another size raises ShapeError naming its path."""
     rows = [manifest.rows[i] for i in indices]
+    if out is None:
+        out = np.empty((len(rows), 3, *frame_size(rows[0].path)), np.float32)
+
+    def load(j: int) -> np.ndarray:
+        return load_image(rows[j].path, out=out[j : j + 1])
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            images = list(pool.map(load_image, [r.path for r in rows]))
+            list(pool.map(load, range(len(rows))))
     else:
-        images = [load_image(r.path) for r in rows]
-    first = images[0].shape
-    for row, img in zip(rows, images):
-        if img.shape != first:
-            raise ShapeError(
-                f"{row.path}: frame shape {img.shape[1:]} != batch shape {first[1:]}"
-            )
+        for j in range(len(rows)):
+            load(j)
     return Batch(
-        x=np.concatenate(images, axis=0),
+        x=out,
         y=np.array([r.label for r in rows], dtype=np.float32),
         provenance=[(r.video_id, r.frame_index) for r in rows],
     )

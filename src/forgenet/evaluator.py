@@ -159,10 +159,14 @@ def predict_manifest(
     batch_size: int = 128,
     threads: int = 1,
 ) -> list[PredictionRecord]:
-    """Inference-mode pass over a manifest, in manifest order."""
+    """Inference-mode pass over a manifest, in manifest order. Each batch is
+    decoded into the net's batch buffer."""
     records: list[PredictionRecord] = []
     for indices in data_mod.make_batches(manifest, batch_size, shuffle=False, seed=0):
-        batch = data_mod.assemble_batch(manifest, indices, threads=threads)
+        batch = data_mod.assemble_batch(
+            manifest, indices, threads=threads,
+            out=model_mod.input_buffer(net, len(indices)),
+        )
         probs, _ = model_mod.forward(net, batch.x, training=False)
         for (video_id, frame_index), truth, p in zip(
             batch.provenance, batch.y, probs

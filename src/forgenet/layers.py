@@ -145,9 +145,14 @@ def _patches(
         yield samples, rows, _im2col(band, buf)
 
 
-def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
+def conv2d_forward(
+    x: np.ndarray, layer: ConvLayer, out: np.ndarray | None = None
+) -> np.ndarray:
     """out(i,f,y,x) = bias(f) + sum_{c,dy,dx} w(f,c,dy,dx) * x(i,c,y+dy,x+dx),
-    one GEMM per block of patches into the C-contiguous (n, k, ho, wo) out."""
+    one GEMM per block of patches into the C-contiguous (n, k, ho, wo) out,
+    and the bias added to the block's rows while they are in cache. `out`,
+    when given, must be such an array of the result's dtype; it is returned.
+    """
     require_rank(x, 4, "conv input")
     n, c, h, w = x.shape
     if h < KERNEL or w < KERNEL:
@@ -159,11 +164,20 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     k = layer.filters
     wmat = layer.weights.reshape(k, -1)
     ho, wo = h - KERNEL + 1, w - KERNEL + 1
-    out = np.empty((n, k, ho, wo), np.result_type(wmat, x))
+    shape, dtype = (n, k, ho, wo), np.result_type(wmat, x)
+    if out is None:
+        out = np.empty(shape, dtype)
+    elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ShapeError(
+            f"conv output must be C-contiguous {shape} {dtype}, got "
+            f"{out.shape} {out.dtype}"
+        )
+    bias = layer.bias.reshape(k, 1)
     for samples, rows, cols in _patches(x, ho, wo):
         # A band of whole rows of a C-contiguous array reshapes to a view.
-        np.matmul(wmat, cols, out=out[samples, :, rows].reshape(len(cols), k, -1))
-    out += layer.bias.reshape(1, k, 1, 1)
+        block = out[samples, :, rows].reshape(len(cols), k, -1)
+        np.matmul(wmat, cols, out=block)
+        block += bias
     return out
 
 

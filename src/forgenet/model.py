@@ -6,11 +6,20 @@ flatten and a width-1 dense head with sigmoid output: 58,221 stored
 parameters at 3x128x128 input (IN_CHANNELS is 3: `data.load_image`
 decodes only RGB PPM). Moving BN statistics count as stored parameters but
 never receive gradients. BN runs only in training, where a forward keeps
-each block's input and normalised values for backward. An inference
-forward folds each BN into its conv and keeps nothing.
-Each conv output, BN output and upstream gradient is a fresh array that
-only these passes hold, so BN and ReLU work in them (see `layers`); the
-image batch is never written. Backward pops each block from its cache.
+each block's input and normalised values for backward. In training each
+conv output, BN output and upstream gradient is a fresh array that only
+these passes hold, so BN and ReLU work in them (see `layers`); backward
+pops each block from its cache.
+
+An inference forward folds each BN into its conv and writes the block
+outputs into two ping-pong buffers that the `Network` keeps, with the
+decoded batch `evaluator.predict_manifest` fills (`input_buffer`), for the
+life of the net. Repeat requests so reuse memory the process holds, where
+fresh arrays would be trimmed from the heap after each request and faulted
+back in by the next. The buffers are not state: `state_tensors()`, the
+weights file and `==` leave them out, and a training forward releases
+them. So one `Network` serves one inference at a time. Neither pass
+writes the image batch it is given.
 
 Weights file format (all integers little-endian u32, floats little-endian
 float32, no padding):
@@ -27,8 +36,9 @@ but the seed, in field order.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +95,12 @@ class Network:
     convs: list[L.ConvLayer]
     bns: list[L.BatchNormLayer]
     dense: L.DenseLayer
+    # Inference's working set by name, flat arrays viewed at the front (see
+    # `_buffer`): "batch", the decoded frames, and "block0" and "block1",
+    # the ping-pong block outputs.
+    buffers: dict[str, np.ndarray] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         """Every stored tensor in the weights-file schema order."""
@@ -149,6 +165,25 @@ def build(config: NetworkConfig) -> Network:
     return Network(config=config, convs=convs, bns=bns, dense=dense)
 
 
+def _buffer(net: Network, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A C-contiguous `shape` view of the front of `net.buffers[name]`,
+    which is first replaced by a new flat array if it is missing, smaller or
+    of another dtype."""
+    size = math.prod(shape)
+    flat = net.buffers.get(name)
+    if flat is None or flat.size < size or flat.dtype != dtype:
+        flat = net.buffers[name] = np.empty(size, dtype)
+    return flat[:size].reshape(shape)
+
+
+def input_buffer(net: Network, n: int) -> np.ndarray:
+    """The net's (n, 3, height, width) float32 batch buffer, for inference
+    to decode frames into. The next call, and a training forward, may reuse
+    or drop it."""
+    cfg = net.config
+    return _buffer(net, "batch", (n, IN_CHANNELS, cfg.height, cfg.width), np.float32)
+
+
 @dataclass
 class ForwardCache:
     """What backward reads of a training forward. `activations` holds the
@@ -166,9 +201,12 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the network; returns clamped probabilities and the backward cache.
 
-    Training mode updates BN moving statistics and keeps each block's input
-    and normalised values for backward. Inference mode folds each BN into
-    its conv, is pure, keeps nothing and returns None for the cache.
+    Training mode updates BN moving statistics, keeps each block's input
+    and normalised values for backward and releases the inference buffers.
+    Inference mode folds each BN into its conv, writes the block outputs
+    into the net's two block buffers, changes no state tensor and returns
+    None for the cache. Neither writes `x`, and the probabilities are a new
+    array.
     """
     require_rank(x, 4, "network input")
     cfg = net.config
@@ -177,11 +215,17 @@ def forward(
         raise ShapeError(
             f"network input shape {x.shape[1:]} != configured {expected}"
         )
+    if training:
+        net.buffers.clear()
     activations, bn_caches = [x], []
     h = x
-    for conv, bn in zip(net.convs, net.bns):
+    for i, (conv, bn) in enumerate(zip(net.convs, net.bns)):
         if not training:
-            h = L.relu_forward(L.conv2d_forward(h, L.batchnorm_fold(conv, bn)))
+            folded = L.batchnorm_fold(conv, bn)
+            n, _, height, width = h.shape
+            shape = (n, folded.filters, height - L.KERNEL + 1, width - L.KERNEL + 1)
+            out = _buffer(net, f"block{i % 2}", shape, np.result_type(folded.weights, h))
+            h = L.relu_forward(L.conv2d_forward(h, folded, out=out))
             continue
         h, bn_cache = L.batchnorm_forward(L.conv2d_forward(h, conv), bn)
         h = L.relu_forward(h)

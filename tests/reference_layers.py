@@ -36,8 +36,12 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * KERNEL * KERNEL)
 
 
-def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """out(i,f,y,x) = bias(f) + sum_{c,dy,dx} w(f,c,dy,dx) * x(i,c,y+dy,x+dx)."""
+def conv2d_forward(
+    x: np.ndarray, layer: ConvLayer, out: np.ndarray | None = None
+) -> np.ndarray:
+    """out(i,f,y,x) = bias(f) + sum_{c,dy,dx} w(f,c,dy,dx) * x(i,c,y+dy,x+dx).
+    With `out` given, the result is copied into it and `out` returned, as
+    `forgenet.layers.conv2d_forward` returns it."""
     require_rank(x, 4, "conv input")
     n, c, h, w = x.shape
     if h < KERNEL or w < KERNEL:
@@ -50,9 +54,13 @@ def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     k = layer.filters
     cols = _im2col(x)
     wmat = layer.weights.reshape(k, -1)
-    out = cols @ wmat.T
-    out = out.reshape(n, ho, wo, k).transpose(0, 3, 1, 2)
-    return out + layer.bias.reshape(1, k, 1, 1)
+    y = cols @ wmat.T
+    y = y.reshape(n, ho, wo, k).transpose(0, 3, 1, 2)
+    y = y + layer.bias.reshape(1, k, 1, 1)
+    if out is None:
+        return y
+    out[...] = y
+    return out
 
 
 def conv2d_backward(

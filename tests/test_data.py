@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -7,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forgenet import data, evaluator, model
-from forgenet.errors import ConfigError, ContractError, DecodeError, ManifestError
+from forgenet.errors import (
+    ConfigError,
+    ContractError,
+    DecodeError,
+    ManifestError,
+    ShapeError,
+)
 
 GOOD_MANIFEST = (
     "path,label,video_id,frame_index\n"
@@ -289,6 +296,15 @@ class TestAssembleBatch:
         expected = [(manifest.rows[i].video_id, manifest.rows[i].frame_index)
                     for i in indices]
         assert serial.provenance == expected
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_wrong_size_frame_names_its_path(self, tmp_path, threads):
+        manifest = data.generate_synthetic(2, 2, 12, seed=9, destination=tmp_path)
+        odd = tmp_path / "odd.ppm"
+        data.write_ppm(np.zeros((3, 10, 12), np.float32), odd)
+        manifest.rows[2] = dataclasses.replace(manifest.rows[2], path=str(odd))
+        with pytest.raises(ShapeError, match=r"odd\.ppm: frame shape \(3, 10, 12\)"):
+            data.assemble_batch(manifest, [0, 1, 2, 3], threads=threads)
 
     def test_labels_match_rows(self, tmp_path):
         manifest = data.generate_synthetic(2, 2, 12, seed=9, destination=tmp_path)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forgenet import evaluator, model
-from forgenet.errors import ContractError, ManifestError
+from forgenet import data, evaluator, model
+from forgenet.errors import ContractError, ManifestError, ShapeError
 from forgenet.evaluator import PredictionRecord
 
 
@@ -245,6 +246,41 @@ class TestPredictManifest:
         a = evaluator.predict_manifest(net, manifests["val"], batch_size=16)
         b = evaluator.predict_manifest(net, manifests["val"], batch_size=16)
         assert a == b
+
+    def test_repeat_reuses_the_buffers(self, synth_root):
+        # 40 frames at batch 16: the short last batch uses views of the
+        # buffers the first batch sized.
+        _, manifests = synth_root
+        cfg = model.NetworkConfig(conv_layers=2, filters=2, height=24, width=24)
+        net = model.build(cfg)
+        a = evaluator.predict_manifest(net, manifests["val"], batch_size=16)
+        pointers = {name: buf.ctypes.data for name, buf in net.buffers.items()}
+        assert set(pointers) == {"batch", "block0", "block1"}
+        b = evaluator.predict_manifest(net, manifests["val"], batch_size=16)
+        assert {name: buf.ctypes.data for name, buf in net.buffers.items()} == pointers
+        assert a == b
+
+    def test_threads_decode_into_the_shared_batch(self, synth_root):
+        _, manifests = synth_root
+        cfg = model.NetworkConfig(conv_layers=2, filters=2, height=24, width=24)
+        net = model.build(cfg)
+        serial = evaluator.predict_manifest(net, manifests["val"], batch_size=16)
+        threaded = evaluator.predict_manifest(
+            net, manifests["val"], batch_size=16, threads=4
+        )
+        assert threaded == serial
+
+    def test_wrong_size_frame_names_its_path(self, synth_root, tmp_path):
+        _, manifests = synth_root
+        rows = list(manifests["val"].rows)
+        odd = tmp_path / "odd.ppm"
+        data.write_ppm(np.zeros((3, 20, 20), np.float32), odd)
+        rows[5] = dataclasses.replace(rows[5], path=str(odd))
+        cfg = model.NetworkConfig(conv_layers=2, filters=2, height=24, width=24)
+        with pytest.raises(ShapeError, match="odd.ppm"):
+            evaluator.predict_manifest(
+                model.build(cfg), data.DatasetManifest(rows, "val"), batch_size=16
+            )
 
 
 class TestPredictionLogIO:

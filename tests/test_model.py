@@ -156,7 +156,8 @@ class TestForward:
     @pytest.mark.parametrize("training", [False, True])
     def test_keeps_only_what_backward_reads(self, rng, training):
         # Training keeps each block's output and its normalised values (about
-        # 2x the block outputs); inference keeps nothing past the return.
+        # 2x the block outputs); inference keeps nothing past the return but
+        # the buffers the first call made.
         config = model.NetworkConfig(conv_layers=3, height=32, width=32, seed=3)
         net = model.build(config)
         x = rng.uniform(size=(16, 3, 32, 32)).astype(np.float32)
@@ -226,6 +227,76 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * first_block_bytes
+
+    def test_repeat_inference_allocates_less_than_a_block(self, rng):
+        # The block outputs go into the net's buffers, so a repeat call
+        # allocates only the patch buffer, the folded layers and the head.
+        config = model.NetworkConfig(conv_layers=3, height=64, width=64, seed=3)
+        net = model.build(config)
+        x = rng.uniform(size=(16, 3, 64, 64)).astype(np.float32)
+        last_block_bytes = 16 * config.filters * 58 * 58 * x.itemsize
+        model.forward(net, x, training=False)
+        tracemalloc.start()
+        try:
+            model.forward(net, x, training=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < last_block_bytes
+
+
+class TestInferenceBuffers:
+    def test_probabilities_never_alias_a_buffer(self, rng):
+        net = model.build(SMALL)
+        x = rng.uniform(size=(4, 3, 12, 12)).astype(np.float32)
+        probs, _ = model.forward(net, x, training=False)
+        kept = probs.copy()
+        assert set(net.buffers) == {"block0", "block1"}
+        for buf in net.buffers.values():
+            assert not np.shares_memory(probs, buf)
+        model.forward(net, x[::-1].copy(), training=False)
+        assert probs.tobytes() == kept.tobytes()
+
+    def test_input_buffer_is_never_written(self, rng):
+        net = model.build(SMALL)
+        x = model.input_buffer(net, 4)
+        x[...] = rng.uniform(-1.0, 1.0, size=x.shape)
+        before = x.copy()
+        for _ in range(2):
+            model.forward(net, x, training=False)
+            assert x.tobytes() == before.tobytes()
+
+    def test_float64_clone_gets_float64_buffers(self, rng):
+        net = model.build(SMALL)
+        x = rng.uniform(size=(4, 3, 12, 12))
+        model.forward(net, x.astype(np.float32), training=False)
+        shadow = clone_network(net, dtype=np.float64)
+        probs, _ = model.forward(shadow, x, training=False)
+        assert probs.dtype == np.float64
+        assert {b.dtype for b in shadow.buffers.values()} == {np.dtype(np.float64)}
+        assert {b.dtype for b in net.buffers.values()} == {np.dtype(np.float32)}
+
+    def test_training_forward_releases_buffers(self, rng):
+        net = model.build(SMALL)
+        x = rng.uniform(size=(4, 3, 12, 12)).astype(np.float32)
+        model.input_buffer(net, 4)
+        model.forward(net, x, training=False)
+        assert set(net.buffers) == {"batch", "block0", "block1"}
+        model.forward(net, x, training=True)
+        assert net.buffers == {}
+
+    def test_buffers_are_not_state(self, rng, tmp_path):
+        net = model.build(SMALL)
+        names = list(net.state_tensors())
+        model.save_weights(net, tmp_path / "before.fgn")
+        model.input_buffer(net, 4)
+        model.forward(net, rng.uniform(size=(4, 3, 12, 12)).astype(np.float32), False)
+        model.save_weights(net, tmp_path / "after.fgn")
+        assert list(net.state_tensors()) == names
+        assert (tmp_path / "after.fgn").read_bytes() == (tmp_path / "before.fgn").read_bytes()
+        assert "buffers" not in repr(net)
+        fields = {f.name: f for f in dataclasses.fields(model.Network)}
+        assert not fields["buffers"].compare
 
 
 class TestBackward:
