@@ -341,7 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--print-params",
         action="store_true",
         help="print the stored parameter count of the configured network "
-        "(moving BN statistics included) and exit",
+        "and exit: 58,221 by default, of which training updates 58,173. The "
+        "count includes the moving BN statistics and the conv biases, which "
+        "are stored but not trained: BN subtracts each channel's batch mean, "
+        "so a conv bias has no gradient, and inference folds it into its conv",
     )
     train.set_defaults(func=cmd_train)
 

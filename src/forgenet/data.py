@@ -148,7 +148,7 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
     write_csv(path, MANIFEST_HEADER, table)
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
+def _next_token(data: bytes, pos: int, path) -> tuple[bytes, int]:
     """PPM header token: skips whitespace and '#' comments."""
     n = len(data)
     while pos < n:
@@ -164,7 +164,7 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     while pos < n and data[pos] not in b" \t\r\n":
         pos += 1
     if start == pos:
-        raise DecodeError("truncated PPM header")
+        raise DecodeError(f"{path}: truncated PPM header")
     return data[start:pos], pos
 
 
@@ -176,7 +176,7 @@ def _ppm_header(data, path) -> tuple[int, int, int]:
     pos = 2
     fields = []
     for _ in range(3):
-        token, pos = _next_token(data, pos)
+        token, pos = _next_token(data, pos, path)
         try:
             fields.append(int(token))
         except ValueError:
@@ -186,6 +186,8 @@ def _ppm_header(data, path) -> tuple[int, int, int]:
         raise DecodeError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:
         raise DecodeError(f"{path}: maxval must be 255, got {maxval}")
+    if pos == len(data):  # no whitespace byte after maxval
+        raise DecodeError(f"{path}: truncated PPM header")
     return height, width, pos + 1  # single whitespace byte after maxval
 
 

@@ -56,7 +56,8 @@ def classify(probability: float) -> int:
 
 def classify_batch(probabilities: np.ndarray) -> np.ndarray:
     p = np.asarray(probabilities)
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
+    # Negated, so that a NaN, which fails every comparison, is rejected too.
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
         raise ContractError("probabilities out of [0,1]")
     return (p >= THRESHOLD).astype(np.int64)
 

@@ -4,12 +4,17 @@ The default configuration is 4 conv blocks (4 filters each, 3x3, valid
 padding, stride 1), each followed by batch normalization and ReLU, then
 flatten and a width-1 dense head with sigmoid output: 58,221 stored
 parameters at 3x128x128 input (IN_CHANNELS is 3: `data.load_image`
-decodes only RGB PPM). Moving BN statistics count as stored parameters but
-never receive gradients. BN runs only in training, where a forward keeps
-each block's input and normalised values for backward. In training each
-conv output, BN output and upstream gradient is a fresh array that only
-these passes hold, so BN and ReLU work in them (see `layers`); backward
-pops each block from its cache.
+decodes only RGB PPM), of which training updates 58,173. The other 48 are
+the moving BN statistics, which training-mode BN sets, and the conv
+biases: each conv feeds a training-mode BN that subtracts the channel's
+batch mean, so a conv bias has no gradient. It is stored, and inference
+folds it into its conv, but it is never updated.
+
+BN runs only in training, where a forward keeps each block's input and
+normalised values for backward. In training each conv output, BN output
+and upstream gradient is a fresh array that only these passes hold, so BN
+and ReLU work in them (see `layers`); backward pops each block from its
+cache.
 
 An inference forward folds each BN into its conv and writes the block
 outputs into two ping-pong buffers that the `Network` keeps, with the
@@ -117,8 +122,14 @@ class Network:
         return out
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """Trainable tensors in schema order; moving BN stats excluded."""
-        return {n: t for n, t in self.state_tensors().items() if ".moving_" not in n}
+        """Trainable tensors in schema order: every stored tensor but the
+        moving BN statistics and the conv biases. Each conv feeds a
+        training-mode BN, whose batch-mean subtraction cancels the bias, so
+        its gradient is 0 and updating it would apply rounding noise."""
+        return {
+            n: t for n, t in self.state_tensors().items()
+            if ".moving_" not in n and not (n.startswith("conv") and n.endswith(".bias"))
+        }
 
 
 def count_parameters(config: NetworkConfig) -> int:
@@ -238,7 +249,7 @@ def forward(
 def backward(
     net: Network, cache: ForwardCache | None, labels: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Gradients of the mean BCE loss for every trainable parameter.
+    """Gradients of the mean BCE loss for every tensor of `parameters()`.
 
     Starts from the fused sigmoid+BCE logit gradient of `bce_loss`, so the
     sigmoid never appears as a separate backward step.
@@ -266,7 +277,7 @@ def backward(
         grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = g.d_gamma, g.d_beta
         # Block 0's input is the image batch; nothing reads its gradient.
         g = L.conv2d_backward(acts[i], net.convs[i], d, input_grad=i > 0)
-        grads[f"conv{i}.weights"], grads[f"conv{i}.bias"] = g.d_weights, g.d_bias
+        grads[f"conv{i}.weights"] = g.d_weights
         d = g.d_input
     return grads
 
@@ -310,8 +321,9 @@ def load_weights(source) -> Network:
     A header that makes no valid config, or promises more parameters than
     the file can hold, is rejected before anything is allocated. Every
     tensor record is checked against the shape of the same tensor in the
-    built network; the first mismatch is reported by tensor name. Truncated
-    or oversized files are rejected.
+    built network; the first mismatch, or the first tensor holding a NaN or
+    an infinity, is reported by tensor name. Truncated or oversized files
+    are rejected.
     """
     data = Path(source).read_bytes()
     net = build(_parse_header(data))
@@ -337,6 +349,8 @@ def load_weights(source) -> Network:
         if offset + nbytes > len(data):
             raise WeightsFormatError(f"{name}: unexpected end of file")
         dest[...] = np.frombuffer(data, "<f4", dest.size, offset).reshape(dims)
+        if not np.isfinite(dest).all():
+            raise WeightsFormatError(f"{name}: non-finite value")
         offset += nbytes
     if offset != len(data):
         raise WeightsFormatError(f"trailing data after {name} ({len(data) - offset} bytes)")

@@ -282,6 +282,21 @@ class TestEval:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: header: filters must be >= 1")
 
+    def test_non_finite_weights_are_runtime_error(self, cli_run, tmp_path, capsys):
+        root, train_out = cli_run
+        net = model.load_weights(train_out / "weights.fgn")
+        net.dense.bias[0] = np.nan
+        weights = tmp_path / "nan.fgn"
+        model.save_weights(net, weights)
+        out = tmp_path / "o"
+        code = cli.main([
+            "eval", "--weights", str(weights),
+            "--manifest", str(root / "test" / "manifest.csv"), "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: dense.bias: non-finite")
+        assert not (out / "predictions.csv").exists()
+
     @pytest.mark.parametrize("batch", ["1", "4"])
     def test_wrong_size_frame_fails_before_scoring(
         self, cli_run, tmp_path, capsys, batch

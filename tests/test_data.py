@@ -176,6 +176,24 @@ class TestLoadImage:
         with pytest.raises(DecodeError, match=match):
             data.frame_size(path)
 
+    @pytest.mark.parametrize("decode", [data.frame_size, data.load_image])
+    def test_truncated_header_names_its_path(self, tmp_path, decode):
+        path = tmp_path / "short.ppm"
+        path.write_bytes(b"P6\n16")
+        with pytest.raises(DecodeError) as info:
+            decode(path)
+        assert str(info.value) == f"{path}: truncated PPM header"
+
+    @pytest.mark.parametrize("decode", [data.frame_size, data.load_image])
+    def test_header_ending_at_maxval_is_truncated(self, tmp_path, decode):
+        # No whitespace byte after maxval: the header is cut short, rather
+        # than the raster being -1 bytes long.
+        path = tmp_path / "bare.ppm"
+        path.write_bytes(b"P6\n16 16\n255")
+        with pytest.raises(DecodeError) as info:
+            decode(path)
+        assert str(info.value) == f"{path}: truncated PPM header"
+
     def test_write_load_roundtrip_on_quantized_values(self, rng, tmp_path):
         pixels = (rng.integers(0, 256, size=(3, 4, 5)) / 255.0).astype(np.float32)
         path = tmp_path / "q.ppm"

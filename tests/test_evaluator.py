@@ -42,6 +42,14 @@ class TestClassify:
         lo, hi = sorted([p1, p2])
         assert evaluator.classify(lo) <= evaluator.classify(hi)
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+    def test_batch_rejects_what_scalar_rejects(self, bad):
+        probs = np.array([0.2, bad, 0.7])
+        with pytest.raises(ContractError):
+            evaluator.classify(bad)
+        with pytest.raises(ContractError):
+            evaluator.classify_batch(probs)
+
     def test_batch_matches_scalar(self, rng):
         probs = rng.uniform(size=40)
         batch = evaluator.classify_batch(probs)

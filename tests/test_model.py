@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import reference_layers
 from fdcheck import assert_close, central_diff, clone_network
-from forgenet import layers, model
+from forgenet import data, layers, model
 from forgenet.errors import (
     ConfigError,
     ContractError,
@@ -104,10 +104,11 @@ class TestBuild:
         net = model.build(SMALL)
         names = set(net.parameters())
         assert not any("moving" in n for n in names)
+        assert not any(n.startswith("conv") and n.endswith(".bias") for n in names)
         trainable = sum(t.size for t in net.parameters().values())
         stored = sum(t.size for t in net.state_tensors().values())
-        # exactly 2 filters x 2 moving vectors x 2 layers fewer
-        assert stored - trainable == 2 * SMALL.filters * SMALL.conv_layers
+        # 2 moving vectors and 1 conv bias per layer, each 2 filters long
+        assert stored - trainable == 3 * SMALL.filters * SMALL.conv_layers
 
 
 class TestForward:
@@ -320,6 +321,29 @@ class TestBackward:
                 what=name,
             )
 
+    def test_conv_biases_have_no_gradient(self, rng):
+        # Each conv feeds a training-mode BN, which subtracts the channel's
+        # batch mean, so the loss does not read a conv bias: neither
+        # parameters() nor backward names one.
+        net = clone_network(model.build(SMALL), dtype=np.float64)
+        for conv in net.convs:
+            conv.bias[...] = rng.normal(0.0, 0.5, size=conv.bias.shape)
+        x = rng.uniform(size=(2, 3, 12, 12))
+        y = np.array([0.0, 1.0])
+
+        def objective():
+            probs, _ = model.forward(net, x, training=True)
+            loss, _ = bce_loss(probs, y)
+            return loss
+
+        for i, conv in enumerate(net.convs):
+            assert np.abs(central_diff(objective, conv.bias)).max() <= 1e-9, i
+            # the same check sees the weights of that conv
+            assert np.abs(central_diff(objective, conv.weights)).max() > 1e-3, i
+        _, cache = model.forward(net, x, training=True)
+        grads = model.backward(net, cache, y)
+        assert not any(n.startswith("conv") and n.endswith(".bias") for n in grads)
+
     def test_saturated_correct_predictions_give_tiny_gradients(self, rng):
         net = model.build(SMALL)
         net.dense.bias[0] = 25.0  # saturates every probability at the clamp
@@ -436,11 +460,6 @@ class TestAgainstReferenceConv:
                          what=f"conv{i} output")
         assert set(fast_grads) == set(ref_grads)
         for name, expected in ref_grads.items():
-            if name.startswith("conv") and name.endswith(".bias"):
-                # BN removes any per-channel offset, so these are exactly 0
-                # up to rounding in either path.
-                assert_close(fast_grads[name], expected, 0.0, atol=1e-12, what=name)
-                continue
             assert_close(fast_grads[name], expected, 1e-9,
                          atol=1e-9 * np.abs(expected).max(), what=name)
 
@@ -487,6 +506,39 @@ class TestFoldedInference:
         assert np.abs(folded - expected).max() <= 1e-5
 
 
+class TestTrainedInference:
+    """Training in float32 against a float64 twin, on the benchmark's
+    reference frames at its learning rates (perfbench/reference.py)."""
+
+    @pytest.mark.parametrize("side", [16, 32, 128])
+    def test_float32_training_tracks_float64(self, monkeypatch, tmp_path, side):
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        reference = importlib.import_module("reference")
+        manifest = data.generate_synthetic(
+            reference.VIDEOS, reference.FRAMES_PER_VIDEO, side,
+            reference.DATA_SEED, tmp_path, split="test",
+        )
+        batch = data.assemble_batch(manifest, list(range(len(manifest.rows))))
+        net = model.build(
+            model.NetworkConfig(height=side, width=side, seed=reference.NET_SEED)
+        )
+        twin = clone_network(net, np.float64)
+        x64, y64 = batch.x.astype(np.float64), batch.y.astype(np.float64)
+        adam = AdamState(lr=reference.train_lr(side))
+        adam64 = AdamState(lr=reference.train_lr(side))
+        for _ in range(reference.TRAIN_STEPS):
+            _, cache = model.forward(net, batch.x, training=True)
+            adam_step(net.parameters(), model.backward(net, cache, batch.y), adam)
+            _, cache = model.forward(twin, x64, training=True)
+            adam_step(twin.parameters(), model.backward(twin, cache, y64), adam64)
+        # Inference folds the conv biases and moving statistics in, so
+        # rounding noise trained into either would show here.
+        probs, _ = model.forward(net, batch.x, training=False)
+        probs64, _ = model.forward(twin, x64, training=False)
+        assert np.abs(probs - probs64).max() <= 1e-6
+
+
 class TestWeightsFile:
     def _trained_net(self, rng):
         net = model.build(SMALL)
@@ -526,6 +578,16 @@ class TestWeightsFile:
         model.save_weights(model.build(SMALL), path)
         path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
         with pytest.raises(WeightsFormatError, match="trailing"):
+            model.load_weights(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_its_tensor(self, tmp_path, value):
+        net = model.build(SMALL)
+        net.bns[1].gamma[0] = value
+        net.dense.bias[0] = np.nan
+        path = tmp_path / "w.fgn"
+        model.save_weights(net, path)
+        with pytest.raises(WeightsFormatError, match=r"^bn1\.gamma: non-finite"):
             model.load_weights(path)
 
     def _tamper_header(self, path, header, tail=b""):

@@ -111,6 +111,21 @@ class TestTrain:
         assert len({r.train_acc for r in records}) == 1
         assert len({r.val_acc for r in records}) == 1
 
+    def test_conv_biases_keep_their_stored_values(self, synth_root, rng):
+        # A conv bias has no gradient under BN, so training never updates
+        # it, and a loaded nonzero bias is kept bit for bit.
+        _, manifests = synth_root
+        net = model.build(NET_CFG)
+        for conv in net.convs:
+            conv.bias[...] = rng.normal(0.0, 0.1, size=conv.bias.shape)
+        before = [conv.bias.copy() for conv in net.convs]
+        _, records, _ = trainer.train(
+            net, manifests["train"], manifests["val"], quick_config(epochs=2)
+        )
+        assert len(records) == 2
+        for i, conv in enumerate(net.convs):
+            assert conv.bias.tobytes() == before[i].tobytes(), f"conv{i}.bias"
+
     def test_early_stop_fires_at_epoch_two_on_plateau(self, synth_root):
         _, manifests = synth_root
         net = model.build(NET_CFG)
