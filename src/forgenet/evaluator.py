@@ -145,7 +145,8 @@ def probability_histogram(records: list[PredictionRecord]) -> np.ndarray:
     if not records:
         return counts
     probs = np.array([r.probability for r in records], dtype=np.float64)
-    if probs.min() < 0.0 or probs.max() > 1.0:
+    # Negated, as in classify_batch, so that a NaN is rejected too.
+    if not (probs.min() >= 0.0 and probs.max() <= 1.0):
         raise ContractError("probabilities out of [0,1]")
     edges = np.arange(bins + 1, dtype=np.float64) / bins
     idx = np.searchsorted(edges, probs, side="right") - 1

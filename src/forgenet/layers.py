@@ -9,6 +9,14 @@ squashed by a clamped sigmoid feeding binary cross-entropy.
 All functions are dtype-preserving so the same code runs the float32
 model path and the float64 finite-difference path.
 
+Conv is one GEMM per block of samples or band of rows, over a patch matrix
+that `_patches`, the only patch builder, copies in one piece from a
+strided view of full rows: each row of outputs carries 2 junk columns,
+dropped on the way out. Backward pads the upstream by 2 band by band, not
+as a whole, and reads one patch matrix of it per block for both gradients;
+the first conv, which needs no input gradient, takes its weight gradient
+from the patches of its input instead.
+
 BN and ReLU overwrite arrays that only the model holds: `batchnorm_forward`
 turns its input into `xhat`, `relu_forward` clamps its input, and both
 backwards write d_input into their upstream (BN's also overwrites `xhat`).
@@ -16,6 +24,7 @@ backwards write d_input into their upstream (BN's also overwrites `xhat`).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -98,13 +107,13 @@ class BatchNormCache:
 PATCH_BYTES = 1 << 19
 
 
-def _blocks(x: np.ndarray, ho: int, wo: int) -> list[tuple[slice, slice]]:
+def _blocks(x: np.ndarray, ho: int, w: int) -> list[tuple[slice, slice]]:
     """(samples, output rows) slices that tile an (n, ho) batch of outputs,
-    each with a patch matrix of at most PATCH_BYTES where one output row
-    allows: several whole samples when one sample fits, otherwise bands of
-    rows of one sample."""
+    each with a patch matrix of at most PATCH_BYTES where one full row of
+    `w` patch columns allows: several whole samples when one sample fits,
+    otherwise bands of rows of one sample."""
     n, c = x.shape[:2]
-    rows = max(1, PATCH_BYTES // (c * KERNEL * KERNEL * wo * x.itemsize))
+    rows = max(1, PATCH_BYTES // (c * KERNEL * KERNEL * w * x.itemsize))
     if rows >= ho:
         step = rows // ho
         return [
@@ -117,41 +126,88 @@ def _blocks(x: np.ndarray, ho: int, wo: int) -> list[tuple[slice, slice]]:
     ]
 
 
-def _im2col(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """(m, c, r+2, w) input rows -> (m, c*9, r*(w-2)) patch matrix, rows in
-    (c, dy, dx) order, built from 9 slice copies into the front of the flat
-    buffer `buf`."""
-    m, c, h, w = x.shape
-    ho, wo = h - KERNEL + 1, w - KERNEL + 1
-    cols = buf[: m * c * KERNEL * KERNEL * ho * wo]
-    cols = cols.reshape(m, c, KERNEL, KERNEL, ho, wo)
-    for dy in range(KERNEL):
-        for dx in range(KERNEL):
-            cols[:, :, dy, dx] = x[:, :, dy : dy + ho, dx : dx + wo]
-    return cols.reshape(m, c * KERNEL * KERNEL, ho * wo)
+def _rows_view(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The C-contiguous `shape` array at the front of the flat buffer `buf`."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _full_rows(rows: np.ndarray, buf: np.ndarray, w: int) -> np.ndarray:
+    """`rows`, an (m, c, r, v) array with v < w, as the (m, c, r*w - 2)
+    matrix whose columns line up with full-row patch columns of width w:
+    copied into (m, c, r, w) rows at the front of the flat buffer `buf`,
+    whose columns from v on are zero and stay zero."""
+    m, c, r, v = rows.shape
+    dst = _rows_view(buf, m, c, r, w)
+    dst[..., :v] = rows
+    return dst.reshape(m, c, r * w)[..., : r * w - 2]
 
 
 def _patches(
-    x: np.ndarray, ho: int, wo: int
+    x: np.ndarray, pad: int = 0
 ) -> Iterator[tuple[slice, slice, np.ndarray]]:
-    """Yield (samples, rows, patch matrix) for each of `_blocks(x, ho, wo)`:
-    the im2col of the input rows that the block's (ho, wo) outputs read.
-    Every patch matrix is a view of one buffer, overwritten by the next."""
-    blocks = _blocks(x, ho, wo)
-    outputs = max((s.stop - s.start) * (r.stop - r.start) for s, r in blocks)
-    buf = np.empty(outputs * x.shape[1] * KERNEL * KERNEL * wo, dtype=x.dtype)
-    for samples, rows in blocks:
-        band = x[samples, :, rows.start : rows.stop + KERNEL - 1]
-        yield samples, rows, _im2col(band, buf)
+    """Yield (samples, rows, patch matrix) for each of `_blocks`: the full-row
+    im2col of `x` zero-padded by `pad`, for the block's output rows of the
+    valid 3x3 correlation.
+
+    With x padded to (n, c, h, w), a sample is a flat (c, h*w) array, and
+    the patch of output (y, x) at tap (c, dy, dx) is its element
+    [c, (y+dy)*w + x + dx]. So output rows y0 .. y0+r-1 read the r*w - 2
+    columns from y0*w of one strided (c, 3, 3, (h-2)*w - 2) view of the
+    sample, and a block is one copy of that view into a (m, c*9, r*w - 2)
+    matrix, rows in (c, dy, dx) order. Each row of outputs carries w
+    columns, of which the last 2 are junk; the last row stops before them.
+    The view is built once per call, of x (copied first if it is not
+    C-contiguous): building one per block costs more than the copies save.
+    With `pad`, each band is instead zero-padded into a small buffer sized
+    for the largest block, the only padded copy, and every block reads the
+    front of that buffer's one view. Every patch matrix is a view of one
+    buffer, overwritten by the next.
+    """
+    _, c, h, w = x.shape
+    h, w = h + 2 * pad, w + 2 * pad
+    blocks = _blocks(x, h - KERNEL + 1, w)
+    m = max(s.stop - s.start for s, _ in blocks)
+    rows = max(r.stop - r.start for _, r in blocks)
+    if pad:
+        src = np.zeros((m, c, rows + KERNEL - 1, w), x.dtype)
+    else:
+        src = np.ascontiguousarray(x)
+    step = src.itemsize
+    windows = np.lib.stride_tricks.as_strided(
+        src,
+        shape=(len(src), c, KERNEL, KERNEL, (src.shape[2] - KERNEL + 1) * w - 2),
+        strides=(*src.strides[:2], w * step, step, step),
+        writeable=False,
+    )
+    buf = np.empty(m * c * KERNEL * KERNEL * (rows * w - 2), x.dtype)
+    for samples, band in blocks:
+        s, r = samples.stop - samples.start, band.stop - band.start
+        cols = _rows_view(buf, s, c, KERNEL, KERNEL, r * w - 2)
+        if pad:
+            # The band reads x rows lo .. hi-1; rows outside x are zeros.
+            lo, hi = band.start - pad, band.stop + KERNEL - 1 - pad
+            a, b = max(lo, 0), min(hi, x.shape[2])
+            dst = src[:s]
+            dst[:, :, : a - lo] = 0
+            dst[:, :, a - lo : b - lo, pad : w - pad] = x[samples, :, a:b]
+            dst[:, :, b - lo : hi - lo] = 0
+            np.copyto(cols, windows[:s, ..., : r * w - 2])
+        else:
+            start = band.start * w
+            np.copyto(cols, windows[samples, ..., start : start + r * w - 2])
+        yield samples, band, cols.reshape(s, c * KERNEL * KERNEL, -1)
 
 
 def conv2d_forward(
     x: np.ndarray, layer: ConvLayer, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """out(i,f,y,x) = bias(f) + sum_{c,dy,dx} w(f,c,dy,dx) * x(i,c,y+dy,x+dx),
-    one GEMM per block of patches into the C-contiguous (n, k, ho, wo) out,
-    and the bias added to the block's rows while they are in cache. `out`,
-    when given, must be such an array of the result's dtype; it is returned.
+    """out(i,f,y,x) = bias(f) + sum_{c,dy,dx} w(f,c,dy,dx) * x(i,c,y+dy,x+dx).
+
+    One GEMM per block of full-row patches (`_patches`) into a small
+    (m, k, rows, w) buffer; the block's rows are copied from it into the
+    C-contiguous (n, k, ho, wo) out without the 2 junk columns of each, and
+    the bias is added to them while they are in cache. `out`, when given,
+    must be such an array of the result's dtype; it is returned.
     """
     require_rank(x, 4, "conv input")
     n, c, h, w = x.shape
@@ -172,11 +228,16 @@ def conv2d_forward(
             f"conv output must be C-contiguous {shape} {dtype}, got "
             f"{out.shape} {out.dtype}"
         )
-    bias = layer.bias.reshape(k, 1)
-    for samples, rows, cols in _patches(x, ho, wo):
-        # A band of whole rows of a C-contiguous array reshapes to a view.
-        block = out[samples, :, rows].reshape(len(cols), k, -1)
-        np.matmul(wmat, cols, out=block)
+    bias = layer.bias.reshape(k, 1, 1)
+    rows_buf = None
+    for samples, rows, cols in _patches(x):
+        s, r = cols.shape[0], rows.stop - rows.start
+        if rows_buf is None:  # the first block is the largest
+            rows_buf = np.empty(s * k * r * w, dtype)
+        g = _rows_view(rows_buf, s, k, r, w)
+        np.matmul(wmat, cols, out=g.reshape(s, k, r * w)[..., : r * w - 2])
+        block = out[samples, :, rows]
+        np.copyto(block, g[..., :wo])
         block += bias
     return out
 
@@ -186,16 +247,22 @@ def conv2d_backward(
 ) -> LayerGradients:
     """Gradients of conv2d_forward under sum(upstream * output).
 
-    Each block builds one patch matrix P of the upstream zero-padded by 2,
-    over the block's (h, w) input positions, and both gradients read it.
-    d_input is the flipped weights times P: the valid correlation of the
-    padded upstream with each kernel rotated 180 degrees and the in/out
-    channel axes swapped, d_x(i,c,y,x) = sum_{f,ey,ex} w(f,c,2-ey,2-ex) *
-    pad(up)(i,f,y+ey,x+ex) (Dumoulin & Visin 2016, arXiv 1603.07285, sec. 4).
-    d_weights is the block's rows of x times P^T, a (c, k*9) matrix flipped
-    back, since sum_{i,y,x} x(i,c,y,x) * pad(up)(i,f,y+ey,x+ex) =
-    d_w(f,c,2-ey,2-ex). With `input_grad=False` (the first block, whose
-    input is the image) the d_input GEMM is skipped and d_input is None.
+    Each block builds one full-row patch matrix P of the upstream
+    zero-padded by 2 (`_patches(upstream, pad=2)` pads band by band), over
+    the block's (h, w) input positions, each row with 2 junk columns, and
+    both gradients read it. d_input is the flipped weights times P: the
+    valid correlation of the padded upstream with each kernel rotated 180
+    degrees and the in/out channel axes swapped, d_x(i,c,y,x) =
+    sum_{f,ey,ex} w(f,c,2-ey,2-ex) * pad(up)(i,f,y+ey,x+ex) (Dumoulin &
+    Visin 2016, arXiv 1603.07285, sec. 4). d_weights is the block's rows of
+    x, copied into a buffer whose 2 junk columns per row are zero, times
+    P^T, a (c, k*9) matrix flipped back, since sum_{i,y,x} x(i,c,y,x) *
+    pad(up)(i,f,y+ey,x+ex) = d_w(f,c,2-ey,2-ex).
+
+    With `input_grad=False` (the first block, whose input is the image)
+    d_input is None and no upstream patch is built: d_weights is the
+    upstream, with zero junk columns, times x's own full-row patches, a
+    (k, c*9) matrix over the (ho, wo) output positions.
     """
     require_rank(x, 4, "conv input")
     require_rank(upstream, 4, "conv upstream")
@@ -207,20 +274,36 @@ def conv2d_backward(
             f"conv upstream shape {upstream.shape} != forward output "
             f"shape {(n, k, ho, wo)}"
         )
-    p = KERNEL - 1
-    padded = np.pad(upstream, ((0, 0), (0, 0), (p, p), (p, p)))
+    dtype = np.result_type(upstream, x)
+    d_bias = upstream.sum(axis=(0, 2, 3))
+    if not input_grad:
+        rows_buf = None
+        d_weights = np.zeros((k, c * KERNEL * KERNEL), dtype)
+        for samples, rows, cols in _patches(x):
+            s, r = cols.shape[0], rows.stop - rows.start
+            if rows_buf is None:  # the first block is the largest
+                rows_buf = np.zeros(s * k * r * w, dtype)
+            up_rows = _full_rows(upstream[samples, :, rows], rows_buf, w)
+            d_weights += np.matmul(up_rows, cols.transpose(0, 2, 1)).sum(axis=0)
+        return LayerGradients(None, d_weights.reshape(layer.weights.shape), d_bias)
+
+    wp = w + KERNEL - 1  # full-row width of the padded upstream
     flipped = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-    d_input = np.empty_like(x) if input_grad else None
-    d_flipped = np.zeros((c, k * KERNEL * KERNEL), dtype=np.result_type(upstream, x))
-    for samples, rows, cols in _patches(padded, h, w):
-        x_rows = x[samples, :, rows].reshape(len(cols), c, -1)
+    d_input = np.empty(x.shape, x.dtype)
+    d_flipped = np.zeros((c, k * KERNEL * KERNEL), dtype)
+    x_buf = g_buf = None
+    for samples, rows, cols in _patches(upstream, pad=KERNEL - 1):
+        s, r = cols.shape[0], rows.stop - rows.start
+        if x_buf is None:  # the first block is the largest
+            x_buf = np.zeros(s * c * r * wp, dtype)
+            g_buf = np.empty(s * c * r * wp, d_input.dtype)
+        x_rows = _full_rows(x[samples, :, rows], x_buf, wp)
         d_flipped += np.matmul(x_rows, cols.transpose(0, 2, 1)).sum(axis=0)
-        if input_grad:
-            np.matmul(flipped, cols, out=d_input[samples, :, rows].reshape(x_rows.shape))
+        g = _rows_view(g_buf, s, c, r, wp)
+        np.matmul(flipped, cols, out=g.reshape(s, c, r * wp)[..., : r * wp - 2])
+        d_input[samples, :, rows] = g[..., :w]
     d_weights = d_flipped.reshape(c, k, KERNEL, KERNEL)[:, :, ::-1, ::-1]
-    return LayerGradients(
-        d_input, d_weights.transpose(1, 0, 2, 3), upstream.sum(axis=(0, 2, 3))
-    )
+    return LayerGradients(d_input, d_weights.transpose(1, 0, 2, 3), d_bias)
 
 
 def batchnorm_forward(

@@ -233,6 +233,12 @@ class TestProbabilityHistogram:
         counts = evaluator.probability_histogram(records)
         assert counts[1] == 1 and counts[2] == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+    def test_out_of_range_rejected(self, bad):
+        records = [rec("v", 0, 0, bad), rec("v", 1, 0, 0.3)]
+        with pytest.raises(ContractError):
+            evaluator.probability_histogram(records)
+
 
 class TestPredictManifest:
     def test_records_follow_manifest_order(self, synth_root):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,17 +197,19 @@ class TestConvAgainstReference:
     def test_blocks_tile_the_output_once(self, shape, dtype):
         n, c, h, w = shape
         x = np.zeros(shape, dtype)
-        ho, wo = h - 2, w - 2
+        ho = h - 2
         seen = np.zeros((n, ho), int)
-        for samples, rows in layers._blocks(x, ho, wo):
+        for samples, rows in layers._blocks(x, ho, w):
             seen[samples, rows] += 1
-            row_bytes = c * 9 * wo * x.itemsize
+            row_bytes = c * 9 * w * x.itemsize  # a full row of patch columns
             block_rows = (samples.stop - samples.start) * (rows.stop - rows.start)
             assert block_rows * row_bytes <= max(layers.PATCH_BYTES, row_bytes)
         assert (seen == 1).all()
 
     def test_without_input_grad_same_parameter_gradients(self, rng):
-        # The last two shapes run in bands of rows of one sample.
+        # The last two shapes run in bands of rows of one sample. The two
+        # routes take d_weights from different patches, so they agree with
+        # the reference, not bitwise with each other.
         for shape in ((3, 3, 9, 7), (2, 3, 4, 2002), (1, 3, 128, 128)):
             n, c, h, w = shape
             x = rng.normal(size=shape)
@@ -214,9 +217,92 @@ class TestConvAgainstReference:
             upstream = rng.normal(size=(n, 4, h - 2, w - 2))
             full = layers.conv2d_backward(x, layer, upstream)
             skipped = layers.conv2d_backward(x, layer, upstream, input_grad=False)
+            expected = reference_layers.conv2d_backward(x, layer, upstream)
             assert skipped.d_input is None
-            assert np.array_equal(skipped.d_weights, full.d_weights), shape
+            for grads in (full, skipped):
+                assert_rel(grads.d_weights, expected.d_weights, 1e-9, f"{shape}")
             assert np.array_equal(skipped.d_bias, full.d_bias), shape
+
+    @staticmethod
+    def assert_matches_reference(x, layer, upstream):
+        out = layers.conv2d_forward(x, layer)
+        assert_rel(out, reference_layers.conv2d_forward(x, layer), 1e-9, "output")
+        expected = reference_layers.conv2d_backward(x, layer, upstream)
+        for input_grad in (True, False):
+            grads = layers.conv2d_backward(x, layer, upstream, input_grad)
+            names = ("d_weights", "d_bias") + (("d_input",) if input_grad else ())
+            for name in names:
+                assert_rel(getattr(grads, name), getattr(expected, name), 1e-9, name)
+
+    # Full-row patches at their edges: one output row or column (a row of
+    # patch columns is then only the 2 junk columns short of w), and a last
+    # band of one row or a last block of one sample, in the forward's blocks
+    # of x (which input_grad=False also reads) or in the backward's blocks of
+    # the upstream padded by 2.
+    @pytest.mark.parametrize("shape,path,last", [
+        pytest.param((2, 3, 3, 9), None, None, id="ho1"),
+        pytest.param((2, 3, 9, 3), None, None, id="wo1"),
+        pytest.param((2, 3, 3, 3), None, None, id="ho1-wo1"),
+        pytest.param((2, 4, 21, 100), "forward", (1, 1), id="forward-1-row-band"),
+        pytest.param((2, 4, 18, 100), "backward", (1, 1), id="backward-1-row-band"),
+        pytest.param((9, 4, 16, 16), "forward", (1, 14), id="forward-1-sample-block"),
+        pytest.param((7, 4, 16, 16), "backward", (1, 16), id="backward-1-sample-block"),
+    ])
+    def test_full_row_edges_match_reference(self, rng, shape, path, last):
+        n, c, h, w = shape
+        x = rng.normal(size=shape)
+        layer = make_conv(rng, 4, c)
+        upstream = rng.normal(size=(n, 4, h - 2, w - 2))
+        if path is not None:
+            if path == "forward":
+                blocks = layers._blocks(x, h - 2, w)
+            else:
+                blocks = layers._blocks(upstream, h, w + 2)
+            sizes = [(s.stop - s.start, r.stop - r.start) for s, r in blocks]
+            assert sizes[-1] == last and sizes[0] != last, sizes
+        self.assert_matches_reference(x, layer, upstream)
+
+    def test_non_contiguous_input_same_result(self, rng):
+        x = rng.normal(size=(3, 4, 11, 9)).transpose(0, 1, 3, 2)
+        upstream = rng.normal(size=(3, 4, 9, 7)).transpose(0, 1, 3, 2)
+        assert not x.flags.c_contiguous and not upstream.flags.c_contiguous
+        layer = make_conv(rng, 4, 4)
+        self.assert_matches_reference(x, layer, upstream)
+        x_c, up_c = np.ascontiguousarray(x), np.ascontiguousarray(upstream)
+        assert np.array_equal(
+            layers.conv2d_forward(x, layer), layers.conv2d_forward(x_c, layer)
+        )
+        for input_grad in (True, False):
+            grads = layers.conv2d_backward(x, layer, upstream, input_grad)
+            want = layers.conv2d_backward(x_c, layer, up_c, input_grad)
+            assert np.array_equal(grads.d_weights, want.d_weights)
+            if input_grad:
+                assert grads.d_input.flags.c_contiguous
+                assert np.array_equal(grads.d_input, want.d_input)
+
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_backward_leaves_its_inputs_unwritten(self, rng, input_grad):
+        x = rng.normal(size=(2, 3, 12, 10))
+        upstream = rng.normal(size=(2, 4, 10, 8))
+        x_before, upstream_before = x.copy(), upstream.copy()
+        layers.conv2d_backward(x, make_conv(rng, 4, 3), upstream, input_grad)
+        assert np.array_equal(x, x_before)
+        assert np.array_equal(upstream, upstream_before)
+
+    def test_backward_pads_band_by_band(self, rng):
+        """Beyond its d_input, backward allocates less than one copy of the
+        upstream padded by 2: each band is padded into a small buffer."""
+        x = rng.normal(size=(16, 4, 64, 64)).astype(np.float32)
+        layer = make_conv(rng, 4, 4, dtype=np.float32)
+        upstream = rng.normal(size=(16, 4, 62, 62)).astype(np.float32)
+        padded_bytes = 16 * 4 * 66 * 66 * upstream.itemsize
+        tracemalloc.start()
+        try:
+            grads = layers.conv2d_backward(x, layer, upstream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - grads.d_input.nbytes < padded_bytes, peak
 
 
 def test_float32_batch_statistics_at_paper_shape(rng, monkeypatch):
