@@ -197,6 +197,9 @@ def _eval_records(args: argparse.Namespace) -> list[eval_mod.PredictionRecord]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     started = _now()
+    for flag, value in (("--batch", args.batch), ("--threads", args.threads)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     out = _prepare_out(args.out)
     records = _eval_records(args)
     outputs = [out / PREDICTIONS_NAME]

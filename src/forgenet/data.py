@@ -303,6 +303,8 @@ def assemble_batch(
     rows = [manifest.rows[i] for i in indices]
     if out is None:
         out = np.empty((len(rows), 3, *frame_size(rows[0].path)), np.float32)
+    elif len(out) != len(rows):
+        raise ShapeError(f"batch buffer has {len(out)} rows for {len(rows)} indices")
 
     def load(j: int) -> np.ndarray:
         return load_image(rows[j].path, out=out[j : j + 1])

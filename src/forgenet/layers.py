@@ -15,7 +15,8 @@ strided view of full rows: each row of outputs carries 2 junk columns,
 dropped on the way out. Backward pads the upstream by 2 band by band, not
 as a whole, and reads one patch matrix of it per block for both gradients;
 the first conv, which needs no input gradient, takes its weight gradient
-from the patches of its input instead.
+from the patches of its input instead. Conv, BN and dense backward return
+d_input, then the gradients training applies; conv has no bias gradient.
 
 BN and ReLU overwrite arrays that only the model holds: `batchnorm_forward`
 turns its input into `xhat`, `relu_forward` clamps its input, and both
@@ -77,17 +78,6 @@ class DenseLayer:
     @property
     def in_features(self) -> int:
         return self.weights.shape[0]
-
-
-@dataclass
-class LayerGradients:
-    """Gradient bundle for one layer; unused fields stay None."""
-
-    d_input: np.ndarray | None
-    d_weights: np.ndarray | None = None
-    d_bias: np.ndarray | None = None
-    d_gamma: np.ndarray | None = None
-    d_beta: np.ndarray | None = None
 
 
 @dataclass
@@ -244,8 +234,12 @@ def conv2d_forward(
 
 def conv2d_backward(
     x: np.ndarray, layer: ConvLayer, upstream: np.ndarray, input_grad: bool = True
-) -> LayerGradients:
-    """Gradients of conv2d_forward under sum(upstream * output).
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """(d_input, d_weights) of conv2d_forward under sum(upstream * output).
+
+    There is no bias gradient: every conv here feeds a training-mode BN,
+    and its upstream, that BN's d_input, sums to 0 over each channel (Ioffe
+    & Szegedy 2015, arXiv 1502.03167, section 3).
 
     Each block builds one full-row patch matrix P of the upstream
     zero-padded by 2 (`_patches(upstream, pad=2)` pads band by band), over
@@ -275,7 +269,6 @@ def conv2d_backward(
             f"shape {(n, k, ho, wo)}"
         )
     dtype = np.result_type(upstream, x)
-    d_bias = upstream.sum(axis=(0, 2, 3))
     if not input_grad:
         rows_buf = None
         d_weights = np.zeros((k, c * KERNEL * KERNEL), dtype)
@@ -285,7 +278,7 @@ def conv2d_backward(
                 rows_buf = np.zeros(s * k * r * w, dtype)
             up_rows = _full_rows(upstream[samples, :, rows], rows_buf, w)
             d_weights += np.matmul(up_rows, cols.transpose(0, 2, 1)).sum(axis=0)
-        return LayerGradients(None, d_weights.reshape(layer.weights.shape), d_bias)
+        return None, d_weights.reshape(layer.weights.shape)
 
     wp = w + KERNEL - 1  # full-row width of the padded upstream
     flipped = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
@@ -303,7 +296,7 @@ def conv2d_backward(
         np.matmul(flipped, cols, out=g.reshape(s, c, r * wp)[..., : r * wp - 2])
         d_input[samples, :, rows] = g[..., :w]
     d_weights = d_flipped.reshape(c, k, KERNEL, KERNEL)[:, :, ::-1, ::-1]
-    return LayerGradients(d_input, d_weights.transpose(1, 0, 2, 3), d_bias)
+    return d_input, d_weights.transpose(1, 0, 2, 3)
 
 
 def batchnorm_forward(
@@ -335,8 +328,8 @@ def batchnorm_forward(
 
 def batchnorm_backward(
     cache: BatchNormCache, layer: BatchNormLayer, upstream: np.ndarray
-) -> LayerGradients:
-    """Full gradient, with the mean/variance dependence, in the closed form
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d_input, d_gamma, d_beta); d_input has the mean/variance terms:
     d_input = gamma * inv_std / m * (m * upstream - d_beta - xhat * d_gamma)
     over m = n*h*w values per channel (Ioffe & Szegedy 2015, arXiv
     1502.03167, section 3), built in `upstream`; consumes `cache.xhat`.
@@ -356,9 +349,7 @@ def batchnorm_backward(
     cache.xhat *= d_gamma
     upstream -= cache.xhat
     upstream *= (layer.gamma * cache.inv_std / count).reshape(1, c, 1, 1)
-    return LayerGradients(
-        d_input=upstream, d_gamma=d_gamma.reshape(c), d_beta=d_beta.reshape(c)
-    )
+    return upstream, d_gamma.reshape(c), d_beta.reshape(c)
 
 
 def batchnorm_fold(conv: ConvLayer, bn: BatchNormLayer) -> ConvLayer:
@@ -396,7 +387,8 @@ def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
 
 def dense_backward(
     x: np.ndarray, layer: DenseLayer, d_logits: np.ndarray
-) -> LayerGradients:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d_input, d_weights, d_bias) under sum(d_logits * logits)."""
     require_rank(x, 2, "dense input")
     if d_logits.shape != (x.shape[0],):
         raise ShapeError(
@@ -404,8 +396,7 @@ def dense_backward(
         )
     d_weights = (x.T @ d_logits).reshape(layer.weights.shape)
     d_bias = np.array([d_logits.sum()], dtype=d_logits.dtype)
-    d_input = np.outer(d_logits, layer.weights[:, 0])
-    return LayerGradients(d_input=d_input, d_weights=d_weights, d_bias=d_bias)
+    return np.outer(d_logits, layer.weights[:, 0]), d_weights, d_bias
 
 
 def sigmoid(logits: np.ndarray) -> np.ndarray:

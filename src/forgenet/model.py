@@ -7,8 +7,8 @@ parameters at 3x128x128 input (IN_CHANNELS is 3: `data.load_image`
 decodes only RGB PPM), of which training updates 58,173. The other 48 are
 the moving BN statistics, which training-mode BN sets, and the conv
 biases: each conv feeds a training-mode BN that subtracts the channel's
-batch mean, so a conv bias has no gradient. It is stored, and inference
-folds it into its conv, but it is never updated.
+batch mean, so a conv bias has no gradient, and backward computes none.
+It is stored, and inference folds it into its conv, but never updated.
 
 BN runs only in training, where a forward keeps each block's input and
 normalised values for backward. In training each conv output, BN output
@@ -266,19 +266,21 @@ def backward(
     if len(bn_caches) != len(net.convs):
         raise ContractError("backward: cache already consumed by an earlier backward")
     grads: dict[str, np.ndarray] = {}
-    g = L.dense_backward(flatten(acts[-1]), net.dense, d_logits)
-    grads["dense.weights"], grads["dense.bias"] = g.d_weights, g.d_bias
-    d = unflatten(g.d_input, acts[-1].shape)
+    d, grads["dense.weights"], grads["dense.bias"] = L.dense_backward(
+        flatten(acts[-1]), net.dense, d_logits
+    )
+    d = unflatten(d, acts[-1].shape)
     for i in reversed(range(len(net.convs))):
         # The ReLU output is positive exactly where its input is; block i's
         # ReLU output and BN cache die once read.
         d = L.relu_backward(acts.pop(), d)
-        g = L.batchnorm_backward(bn_caches.pop(), net.bns[i], d)
-        grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = g.d_gamma, g.d_beta
+        d, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = L.batchnorm_backward(
+            bn_caches.pop(), net.bns[i], d
+        )
         # Block 0's input is the image batch; nothing reads its gradient.
-        g = L.conv2d_backward(acts[i], net.convs[i], d, input_grad=i > 0)
-        grads[f"conv{i}.weights"] = g.d_weights
-        d = g.d_input
+        d, grads[f"conv{i}.weights"] = L.conv2d_backward(
+            acts[i], net.convs[i], d, input_grad=i > 0
+        )
     return grads
 
 

@@ -10,6 +10,7 @@ training stops once they differ by less than the configured delta.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -41,12 +42,10 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr < 0.0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        if self.early_stop_delta < 0.0:
-            raise ConfigError(
-                f"early_stop_delta must be >= 0, got {self.early_stop_delta}"
-            )
+        for name in ("lr", "early_stop_delta"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # negated, so that NaN fails too
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.loader_threads < 1:

@@ -1,15 +1,16 @@
 """Plain conv and batch-norm references, kept as test oracles.
 
 `forgenet.layers` carries the only conv and BN implementations the program
-runs. The conv functions are the earlier path it replaced, unchanged: a
-strided `sliding_window_view` im2col, one (n*ho*wo, c*9) patch GEMM whose
-output is an NCHW view over NHWC memory, and a backward pass that always
-computes the input gradient. The BN functions are the earlier two-mode
-forward (batch statistics in training, moving statistics at inference) and
-the backward that sums over dxhat = upstream * gamma; they differ from the
-originals only in reading momentum and epsilon from the module constants.
-Tests compare the program's conv, BN backward and folded inference
-against them.
+runs. The conv functions are the earlier path it replaced: a strided
+`sliding_window_view` im2col, one (n*ho*wo, c*9) patch GEMM whose output
+is an NCHW view over NHWC memory, and a backward pass that always computes
+the input gradient. The BN functions are the earlier two-mode forward
+(batch statistics in training, moving statistics at inference) and the
+backward that sums over dxhat = upstream * gamma. They differ from the
+originals only in reading momentum and epsilon from the module constants
+and in returning the same gradient tuples as `forgenet.layers`, with no
+conv bias gradient. Tests compare the program's conv, BN backward and
+folded inference against them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from forgenet.layers import (
     BatchNormCache,
     BatchNormLayer,
     ConvLayer,
-    LayerGradients,
 )
 from forgenet.tensor import require_rank
 
@@ -65,8 +65,8 @@ def conv2d_forward(
 
 def conv2d_backward(
     x: np.ndarray, layer: ConvLayer, upstream: np.ndarray
-) -> LayerGradients:
-    """Gradients of conv2d_forward under sum(upstream * output)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(d_input, d_weights) of conv2d_forward under sum(upstream * output)."""
     require_rank(x, 4, "conv input")
     require_rank(upstream, 4, "conv upstream")
     n, c, h, w = x.shape
@@ -82,7 +82,6 @@ def conv2d_backward(
     wmat = layer.weights.reshape(k, -1)
 
     d_weights = (up_mat.T @ cols).reshape(layer.weights.shape)
-    d_bias = upstream.sum(axis=(0, 2, 3))
 
     dcols = (up_mat @ wmat).reshape(n, ho, wo, c, KERNEL, KERNEL)
     dcols = dcols.transpose(0, 3, 1, 2, 4, 5)  # (n, c, ho, wo, 3, 3)
@@ -90,7 +89,7 @@ def conv2d_backward(
     for dy in range(KERNEL):
         for dx in range(KERNEL):
             d_input[:, :, dy : dy + ho, dx : dx + wo] += dcols[:, :, :, :, dy, dx]
-    return LayerGradients(d_input=d_input, d_weights=d_weights, d_bias=d_bias)
+    return d_input, d_weights
 
 
 def batchnorm_forward(
@@ -130,8 +129,9 @@ def batchnorm_forward(
 
 def batchnorm_backward(
     cache: BatchNormCache | None, layer: BatchNormLayer, upstream: np.ndarray
-) -> LayerGradients:
-    """Full training-mode gradient, including the mean/variance dependence."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d_input, d_gamma, d_beta) in training mode, including the
+    mean/variance dependence."""
     if cache is None:
         raise ContractError("batchnorm_backward requires a training-mode cache")
     if np.any(cache.var == 0.0):
@@ -159,4 +159,4 @@ def batchnorm_backward(
     d_input = (inv_std / count) * (
         count * dxhat - sum_dxhat - cache.xhat * sum_dxhat_xhat
     )
-    return LayerGradients(d_input=d_input, d_gamma=d_gamma, d_beta=d_beta)
+    return d_input, d_gamma, d_beta

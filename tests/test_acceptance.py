@@ -73,11 +73,10 @@ def test_criterion_02_gradient_suite():
             bias=rng.normal(size=f) * 0.1,
         )
         up = rng.normal(size=(n, f, h - 2, w - 2))
-        grads = layers.conv2d_backward(x, layer, up)
+        d_input, d_weights = layers.conv2d_backward(x, layer, up)
         objective = lambda: float((layers.conv2d_forward(x, layer) * up).sum())
-        assert_close(grads.d_weights, central_diff(objective, layer.weights), 1e-3)
-        assert_close(grads.d_bias, central_diff(objective, layer.bias), 1e-3)
-        assert_close(grads.d_input, central_diff(objective, x), 1e-3)
+        assert_close(d_weights, central_diff(objective, layer.weights), 1e-3)
+        assert_close(d_input, central_diff(objective, x), 1e-3)
         instances += 1
 
     for _ in range(4):  # batchnorm, training mode
@@ -97,10 +96,10 @@ def test_criterion_02_gradient_suite():
             return float((out * up).sum())
 
         _, cache = layers.batchnorm_forward(x.copy(), layer)
-        grads = layers.batchnorm_backward(cache, layer, up.copy())
-        assert_close(grads.d_gamma, central_diff(bn_objective, layer.gamma), 1e-3)
-        assert_close(grads.d_beta, central_diff(bn_objective, layer.beta), 1e-3)
-        assert_close(grads.d_input, central_diff(bn_objective, x), 1e-3)
+        d_input, d_gamma, d_beta = layers.batchnorm_backward(cache, layer, up.copy())
+        assert_close(d_gamma, central_diff(bn_objective, layer.gamma), 1e-3)
+        assert_close(d_beta, central_diff(bn_objective, layer.beta), 1e-3)
+        assert_close(d_input, central_diff(bn_objective, x), 1e-3)
         instances += 1
 
     for _ in range(4):  # dense readout
@@ -110,11 +109,11 @@ def test_criterion_02_gradient_suite():
             weights=rng.normal(size=(d, 1)), bias=rng.normal(size=1)
         )
         up = rng.normal(size=n)
-        grads = layers.dense_backward(x, layer, up)
+        d_input, d_weights, d_bias = layers.dense_backward(x, layer, up)
         objective = lambda: float((layers.dense_forward(x, layer) * up).sum())
-        assert_close(grads.d_weights, central_diff(objective, layer.weights), 1e-3)
-        assert_close(grads.d_bias, central_diff(objective, layer.bias), 1e-3)
-        assert_close(grads.d_input, central_diff(objective, x), 1e-3)
+        assert_close(d_weights, central_diff(objective, layer.weights), 1e-3)
+        assert_close(d_bias, central_diff(objective, layer.bias), 1e-3)
+        assert_close(d_input, central_diff(objective, x), 1e-3)
         instances += 1
 
     for _ in range(4):  # fused sigmoid + binary cross-entropy

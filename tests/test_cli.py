@@ -96,6 +96,26 @@ class TestTrain:
     def test_missing_manifest_is_usage_error(self, tmp_path):
         assert cli.main(["train", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--early-stop", "nan"),
+    ])
+    def test_non_finite_hyperparameter_is_usage_error(
+        self, synth_root, tmp_path, capsys, flag, value
+    ):
+        root, _ = synth_root
+        out = tmp_path / "o"
+        code = cli.main([
+            "train",
+            "--manifest", str(root / "train" / "manifest.csv"),
+            "--val-manifest", str(root / "val" / "manifest.csv"),
+            "--out", str(out),
+            "--layers", "2", "--filters", "2", "--size", "24",
+            "--batch", "16", "--epochs", "1", flag, value,
+        ])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_outputs_written(self, cli_run):
         _, out = cli_run
         assert (out / "weights.fgn").exists()
@@ -248,6 +268,18 @@ class TestEval:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--batch", "--threads"])
+    def test_zero_batch_or_threads_is_usage_error(self, tmp_path, capsys, flag):
+        # The weights and manifest do not exist: reading either would exit 1.
+        out = tmp_path / "o"
+        code = cli.main([
+            "eval", "--weights", str(tmp_path / "absent.fgn"),
+            "--manifest", str(tmp_path / "absent.csv"), flag, "0", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flag} must be >= 1, got 0\n"
+        assert not out.exists()
 
     def test_weights_file_read_once(self, cli_run, tmp_path, monkeypatch):
         root, train_out = cli_run

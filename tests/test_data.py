@@ -324,6 +324,13 @@ class TestAssembleBatch:
         with pytest.raises(ShapeError, match=r"odd\.ppm: frame shape \(3, 10, 12\)"):
             data.assemble_batch(manifest, [0, 1, 2, 3], threads=threads)
 
+    @pytest.mark.parametrize("rows", [6, 1])
+    def test_out_row_count_must_match_indices(self, tmp_path, rows):
+        manifest = data.generate_synthetic(2, 2, 12, seed=9, destination=tmp_path)
+        out = np.zeros((rows, 3, 12, 12), np.float32)
+        with pytest.raises(ShapeError, match=f"{rows} rows for 2 indices"):
+            data.assemble_batch(manifest, [0, 1], out=out)
+
     def test_labels_match_rows(self, tmp_path):
         manifest = data.generate_synthetic(2, 2, 12, seed=9, destination=tmp_path)
         batch = data.assemble_batch(manifest, [0, 1, 2, 3])

@@ -100,17 +100,9 @@ class TestConvBackward:
     def test_zero_upstream(self, rng):
         x = rng.normal(size=(2, 2, 4, 4))
         layer = make_conv(rng, 3, 2)
-        grads = layers.conv2d_backward(x, layer, np.zeros((2, 3, 2, 2)))
-        assert not grads.d_input.any()
-        assert not grads.d_weights.any()
-        assert not grads.d_bias.any()
-
-    def test_bias_gradient_is_upstream_sum(self, rng):
-        x = rng.normal(size=(2, 1, 4, 4))
-        layer = make_conv(rng, 1, 1)
-        grads = layers.conv2d_backward(x, layer, np.ones((2, 1, 2, 2)))
-        assert grads.d_bias.shape == (1,)
-        assert grads.d_bias[0] == 8.0
+        d_input, d_weights = layers.conv2d_backward(x, layer, np.zeros((2, 3, 2, 2)))
+        assert not d_input.any()
+        assert not d_weights.any()
 
     def test_upstream_shape_rejected(self, rng):
         x = rng.normal(size=(1, 1, 4, 4))
@@ -126,10 +118,9 @@ class TestConvBackward:
         def objective():
             return float(np.sum(upstream * layers.conv2d_forward(x, layer)))
 
-        grads = layers.conv2d_backward(x, layer, upstream)
-        assert_close(grads.d_weights, central_diff(objective, layer.weights), 1e-4)
-        assert_close(grads.d_bias, central_diff(objective, layer.bias), 1e-4)
-        assert_close(grads.d_input, central_diff(objective, x), 1e-4)
+        d_input, d_weights = layers.conv2d_backward(x, layer, upstream)
+        assert_close(d_weights, central_diff(objective, layer.weights), 1e-4)
+        assert_close(d_input, central_diff(objective, x), 1e-4)
 
 
 def assert_rel(actual, expected, rtol, what):
@@ -160,34 +151,33 @@ class TestConvAgainstReference:
         upstream = rng.normal(size=out.shape)
         grads = layers.conv2d_backward(x, layer, upstream)
         expected = reference_layers.conv2d_backward(x, layer, upstream)
-        for name in ("d_input", "d_weights", "d_bias"):
-            assert_rel(getattr(grads, name), getattr(expected, name), 1e-9, name)
+        for name, got, want in zip(("d_input", "d_weights"), grads, expected, strict=True):
+            assert_rel(got, want, 1e-9, name)
 
     def test_float32_gradients_match_float64_reference(self, rng):
         """The float32 gradients at the paper frame size, against the float64
-        reference on the same values: all three of a hidden block, and the
-        two of a first block (3 channels, no input gradient)."""
+        reference on the same values: both of a hidden block, and the
+        weight gradient of a first block (3 channels, no input gradient)."""
         for in_channels, input_grad in ((4, True), (3, False)):
             x = rng.normal(size=(4, in_channels, 128, 128)).astype(np.float32)
             layer = make_conv(rng, 4, in_channels, dtype=np.float32)
             upstream = rng.normal(size=(4, 4, 126, 126)).astype(np.float32)
-            grads = layers.conv2d_backward(x, layer, upstream, input_grad)
+            d_input, d_weights = layers.conv2d_backward(x, layer, upstream, input_grad)
             layer64 = layers.ConvLayer(
                 weights=layer.weights.astype(np.float64),
                 bias=layer.bias.astype(np.float64),
             )
-            expected = reference_layers.conv2d_backward(
+            want_input, want_weights = reference_layers.conv2d_backward(
                 x.astype(np.float64), layer64, upstream.astype(np.float64)
             )
-            names = ("d_weights", "d_bias")
+            pairs = [("d_weights", d_weights, want_weights)]
             if input_grad:
-                names += ("d_input",)
+                pairs.append(("d_input", d_input, want_input))
             else:
-                assert grads.d_input is None
-            for name in names:
-                got = getattr(grads, name)
+                assert d_input is None
+            for name, got, want in pairs:
                 assert got.dtype == np.float32, name
-                assert_rel(got, getattr(expected, name), 1e-5, name)
+                assert_rel(got, want, 1e-5, name)
 
     @pytest.mark.parametrize(
         "shape",
@@ -215,24 +205,23 @@ class TestConvAgainstReference:
             x = rng.normal(size=shape)
             layer = make_conv(rng, 4, c)
             upstream = rng.normal(size=(n, 4, h - 2, w - 2))
-            full = layers.conv2d_backward(x, layer, upstream)
-            skipped = layers.conv2d_backward(x, layer, upstream, input_grad=False)
-            expected = reference_layers.conv2d_backward(x, layer, upstream)
-            assert skipped.d_input is None
-            for grads in (full, skipped):
-                assert_rel(grads.d_weights, expected.d_weights, 1e-9, f"{shape}")
-            assert np.array_equal(skipped.d_bias, full.d_bias), shape
+            _, full = layers.conv2d_backward(x, layer, upstream)
+            d_input, skipped = layers.conv2d_backward(x, layer, upstream, input_grad=False)
+            _, expected = reference_layers.conv2d_backward(x, layer, upstream)
+            assert d_input is None
+            for d_weights in (full, skipped):
+                assert_rel(d_weights, expected, 1e-9, f"{shape}")
 
     @staticmethod
     def assert_matches_reference(x, layer, upstream):
         out = layers.conv2d_forward(x, layer)
         assert_rel(out, reference_layers.conv2d_forward(x, layer), 1e-9, "output")
-        expected = reference_layers.conv2d_backward(x, layer, upstream)
+        want_input, want_weights = reference_layers.conv2d_backward(x, layer, upstream)
         for input_grad in (True, False):
-            grads = layers.conv2d_backward(x, layer, upstream, input_grad)
-            names = ("d_weights", "d_bias") + (("d_input",) if input_grad else ())
-            for name in names:
-                assert_rel(getattr(grads, name), getattr(expected, name), 1e-9, name)
+            d_input, d_weights = layers.conv2d_backward(x, layer, upstream, input_grad)
+            assert_rel(d_weights, want_weights, 1e-9, "d_weights")
+            if input_grad:
+                assert_rel(d_input, want_input, 1e-9, "d_input")
 
     # Full-row patches at their edges: one output row or column (a row of
     # patch columns is then only the 2 junk columns short of w), and a last
@@ -273,12 +262,12 @@ class TestConvAgainstReference:
             layers.conv2d_forward(x, layer), layers.conv2d_forward(x_c, layer)
         )
         for input_grad in (True, False):
-            grads = layers.conv2d_backward(x, layer, upstream, input_grad)
-            want = layers.conv2d_backward(x_c, layer, up_c, input_grad)
-            assert np.array_equal(grads.d_weights, want.d_weights)
+            d_input, d_weights = layers.conv2d_backward(x, layer, upstream, input_grad)
+            want_input, want_weights = layers.conv2d_backward(x_c, layer, up_c, input_grad)
+            assert np.array_equal(d_weights, want_weights)
             if input_grad:
-                assert grads.d_input.flags.c_contiguous
-                assert np.array_equal(grads.d_input, want.d_input)
+                assert d_input.flags.c_contiguous
+                assert np.array_equal(d_input, want_input)
 
     @pytest.mark.parametrize("input_grad", [True, False])
     def test_backward_leaves_its_inputs_unwritten(self, rng, input_grad):
@@ -298,11 +287,11 @@ class TestConvAgainstReference:
         padded_bytes = 16 * 4 * 66 * 66 * upstream.itemsize
         tracemalloc.start()
         try:
-            grads = layers.conv2d_backward(x, layer, upstream)
+            d_input, _ = layers.conv2d_backward(x, layer, upstream)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - grads.d_input.nbytes < padded_bytes, peak
+        assert peak - d_input.nbytes < padded_bytes, peak
 
 
 def test_float32_batch_statistics_at_paper_shape(rng, monkeypatch):
@@ -424,18 +413,18 @@ class TestBatchNormBackward:
         layer = make_bn(2)
         x = rng.normal(size=(2, 2, 3, 3))
         _, cache = layers.batchnorm_forward(x, layer)
-        grads = layers.batchnorm_backward(cache, layer, np.zeros_like(x))
-        assert not grads.d_input.any()
-        assert not grads.d_gamma.any()
-        assert not grads.d_beta.any()
+        d_input, d_gamma, d_beta = layers.batchnorm_backward(cache, layer, np.zeros_like(x))
+        assert not d_input.any()
+        assert not d_gamma.any()
+        assert not d_beta.any()
 
     def test_beta_gradient_is_upstream_sum(self, rng):
         layer = make_bn(3)
         x = rng.normal(size=(2, 3, 2, 2))
         upstream = rng.normal(size=x.shape)
         _, cache = layers.batchnorm_forward(x, layer)
-        grads = layers.batchnorm_backward(cache, layer, upstream.copy())
-        assert_close(grads.d_beta, upstream.sum(axis=(0, 2, 3)), 1e-12)
+        _, _, d_beta = layers.batchnorm_backward(cache, layer, upstream.copy())
+        assert_close(d_beta, upstream.sum(axis=(0, 2, 3)), 1e-12)
 
     @staticmethod
     def check_finite_differences(rng, x):
@@ -447,10 +436,10 @@ class TestBatchNormBackward:
             return float(np.sum(upstream * out))
 
         _, cache = layers.batchnorm_forward(x.copy(), layer)
-        grads = layers.batchnorm_backward(cache, layer, upstream.copy())
-        assert_close(grads.d_gamma, central_diff(objective, layer.gamma), 1e-4)
-        assert_close(grads.d_beta, central_diff(objective, layer.beta), 1e-4)
-        assert_close(grads.d_input, central_diff(objective, x), 1e-4, atol=1e-6)
+        d_input, d_gamma, d_beta = layers.batchnorm_backward(cache, layer, upstream.copy())
+        assert_close(d_gamma, central_diff(objective, layer.gamma), 1e-4)
+        assert_close(d_beta, central_diff(objective, layer.beta), 1e-4)
+        assert_close(d_input, central_diff(objective, x), 1e-4, atol=1e-6)
         return cache
 
     def test_matches_finite_differences(self, rng):
@@ -474,10 +463,8 @@ class TestBatchNormBackward:
         _, cache = layers.batchnorm_forward(x, layer)
         expected = reference_layers.batchnorm_backward(cache, layer, upstream)
         got = layers.batchnorm_backward(cache, layer, upstream)
-        for name in ("d_input", "d_gamma", "d_beta"):
-            want = getattr(expected, name)
-            assert_close(getattr(got, name), want, 1e-9,
-                         atol=1e-9 * np.abs(want).max(), what=name)
+        for name, g, want in zip(("d_input", "d_gamma", "d_beta"), got, expected, strict=True):
+            assert_close(g, want, 1e-9, atol=1e-9 * np.abs(want).max(), what=name)
 
     def test_float32_parameter_gradients_bitwise(self, rng):
         layer = make_bn(4, np.float32, gamma=rng.uniform(0.5, 1.5, 4),
@@ -485,13 +472,15 @@ class TestBatchNormBackward:
         x = rng.normal(size=(16, 4, 30, 30)).astype(np.float32)
         upstream = rng.normal(size=x.shape).astype(np.float32)
         _, cache = layers.batchnorm_forward(x, layer)
-        expected = reference_layers.batchnorm_backward(cache, layer, upstream)
-        got = layers.batchnorm_backward(cache, layer, upstream)
-        assert got.d_input.dtype == np.float32
-        assert np.array_equal(got.d_gamma, expected.d_gamma)
-        assert np.array_equal(got.d_beta, expected.d_beta)
-        assert_close(got.d_input, expected.d_input, 1e-5,
-                     atol=1e-6 * np.abs(expected.d_input).max(), what="d_input")
+        want_input, want_gamma, want_beta = reference_layers.batchnorm_backward(
+            cache, layer, upstream
+        )
+        d_input, d_gamma, d_beta = layers.batchnorm_backward(cache, layer, upstream)
+        assert d_input.dtype == np.float32
+        assert np.array_equal(d_gamma, want_gamma)
+        assert np.array_equal(d_beta, want_beta)
+        assert_close(d_input, want_input, 1e-5,
+                     atol=1e-6 * np.abs(want_input).max(), what="d_input")
 
 
 def random_inference_bn(rng, channels, dtype):
@@ -610,10 +599,10 @@ class TestDense:
         def objective():
             return float(np.sum(upstream * layers.dense_forward(x, layer)))
 
-        grads = layers.dense_backward(x, layer, upstream)
-        assert_close(grads.d_weights, central_diff(objective, layer.weights), 1e-4)
-        assert_close(grads.d_bias, central_diff(objective, layer.bias), 1e-4)
-        assert_close(grads.d_input, central_diff(objective, x), 1e-4)
+        d_input, d_weights, d_bias = layers.dense_backward(x, layer, upstream)
+        assert_close(d_weights, central_diff(objective, layer.weights), 1e-4)
+        assert_close(d_bias, central_diff(objective, layer.bias), 1e-4)
+        assert_close(d_input, central_diff(objective, x), 1e-4)
 
 
 class TestSigmoid:

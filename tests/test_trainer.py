@@ -29,7 +29,9 @@ class TestTrainConfig:
     @pytest.mark.parametrize(
         "bad",
         [dict(epochs=0), dict(batch_size=0), dict(lr=-0.1),
-         dict(early_stop_delta=-0.01), dict(seed=-1), dict(loader_threads=0)],
+         dict(early_stop_delta=-0.01), dict(seed=-1), dict(loader_threads=0),
+         dict(lr=float("nan")), dict(lr=float("inf")),
+         dict(early_stop_delta=float("nan")), dict(early_stop_delta=float("inf"))],
     )
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(ConfigError):
