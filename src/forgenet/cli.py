@@ -202,6 +202,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
     out = _prepare_out(args.out)
     records = _eval_records(args)
+    if args.histogram and all(r.video_id != args.histogram for r in records):
+        raise ForgenetError(f"no predictions for video {args.histogram!r}")
     outputs = [out / PREDICTIONS_NAME]
     eval_mod.write_predictions(records, out / PREDICTIONS_NAME)
 
@@ -244,8 +246,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.histogram:
         chosen = [r for r in records if r.video_id == args.histogram]
-        if not chosen:
-            raise ForgenetError(f"no predictions for video {args.histogram!r}")
         counts = eval_mod.probability_histogram(chosen)
         hist_path = out / f"histogram_{args.histogram}.csv"
         bins = eval_mod.HISTOGRAM_BINS

@@ -106,10 +106,12 @@ def parse_manifest(source: str, split: str = "train") -> DatasetManifest:
     """Parse manifest CSV text; rows keep file order.
 
     Raises ManifestError with a 1-based line number for a bad header,
-    malformed row, non-{0,1} label, or duplicate (video_id, frame_index).
+    malformed row, non-{0,1} label, duplicate (video_id, frame_index), or
+    a label that differs from the one on its video's earlier rows.
     """
     rows: list[ManifestRow] = []
     seen: set[tuple[str, int]] = set()
+    video_labels: dict[str, int] = {}
     records = read_csv(source, MANIFEST_HEADER, "empty manifest, expected header")
     for line_no, (path, label_text, video_id, frame_text) in records:
         if not path:
@@ -126,7 +128,13 @@ def parse_manifest(source: str, split: str = "train") -> DatasetManifest:
         if key in seen:
             raise ManifestError(f"line {line_no}: duplicate (video_id, frame_index) {key}")
         seen.add(key)
-        rows.append(ManifestRow(path, int(label_text), video_id, frame_index))
+        label = video_labels.setdefault(video_id, int(label_text))
+        if label != int(label_text):
+            raise ManifestError(
+                f"line {line_no}: video {video_id!r} has label {label} on its "
+                f"earlier rows, this row has {label_text}"
+            )
+        rows.append(ManifestRow(path, label, video_id, frame_index))
     return DatasetManifest(rows=rows, split=split)
 
 

@@ -10,13 +10,15 @@ All functions are dtype-preserving so the same code runs the float32
 model path and the float64 finite-difference path.
 
 Conv is one GEMM per block of samples or band of rows, over a patch matrix
-that `_patches`, the only patch builder, copies in one piece from a
-strided view of full rows: each row of outputs carries 2 junk columns,
-dropped on the way out. Backward pads the upstream by 2 band by band, not
-as a whole, and reads one patch matrix of it per block for both gradients;
-the first conv, which needs no input gradient, takes its weight gradient
-from the patches of its input instead. Conv, BN and dense backward return
-d_input, then the gradients training applies; conv has no bias gradient.
+whose columns are exactly the block's output positions; `_patches`, the
+only patch builder, copies it in one piece from a strided view, and the
+GEMM writes into the result's rows. Backward pads the upstream by 2 band
+by band, each band laid into a small zero grid whose row pitch makes the
+same view read it, and reads one patch matrix of it per block for both
+gradients; the first conv, which needs no input gradient, takes its
+weight gradient from the patches of its input instead. Conv, BN and dense
+backward return d_input, then the gradients training applies; conv has no
+bias gradient.
 
 BN and ReLU overwrite arrays that only the model holds: `batchnorm_forward`
 turns its input into `xhat`, `relu_forward` clamps its input, and both
@@ -25,7 +27,6 @@ backwards write d_input into their upstream (BN's also overwrites `xhat`).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -97,13 +98,13 @@ class BatchNormCache:
 PATCH_BYTES = 1 << 19
 
 
-def _blocks(x: np.ndarray, ho: int, w: int) -> list[tuple[slice, slice]]:
+def _blocks(x: np.ndarray, ho: int, wo: int) -> list[tuple[slice, slice]]:
     """(samples, output rows) slices that tile an (n, ho) batch of outputs,
-    each with a patch matrix of at most PATCH_BYTES where one full row of
-    `w` patch columns allows: several whole samples when one sample fits,
-    otherwise bands of rows of one sample."""
+    each with a patch matrix of at most PATCH_BYTES where one row of `wo`
+    outputs allows: several whole samples when one sample fits, otherwise
+    bands of rows of one sample."""
     n, c = x.shape[:2]
-    rows = max(1, PATCH_BYTES // (c * KERNEL * KERNEL * w * x.itemsize))
+    rows = max(1, PATCH_BYTES // (c * KERNEL * KERNEL * wo * x.itemsize))
     if rows >= ho:
         step = rows // ho
         return [
@@ -116,76 +117,61 @@ def _blocks(x: np.ndarray, ho: int, w: int) -> list[tuple[slice, slice]]:
     ]
 
 
-def _rows_view(buf: np.ndarray, *shape: int) -> np.ndarray:
-    """The C-contiguous `shape` array at the front of the flat buffer `buf`."""
-    return buf[: math.prod(shape)].reshape(shape)
-
-
-def _full_rows(rows: np.ndarray, buf: np.ndarray, w: int) -> np.ndarray:
-    """`rows`, an (m, c, r, v) array with v < w, as the (m, c, r*w - 2)
-    matrix whose columns line up with full-row patch columns of width w:
-    copied into (m, c, r, w) rows at the front of the flat buffer `buf`,
-    whose columns from v on are zero and stay zero."""
-    m, c, r, v = rows.shape
-    dst = _rows_view(buf, m, c, r, w)
-    dst[..., :v] = rows
-    return dst.reshape(m, c, r * w)[..., : r * w - 2]
-
-
 def _patches(
-    x: np.ndarray, pad: int = 0
+    x: np.ndarray, pad: bool = False
 ) -> Iterator[tuple[slice, slice, np.ndarray]]:
-    """Yield (samples, rows, patch matrix) for each of `_blocks`: the full-row
-    im2col of `x` zero-padded by `pad`, for the block's output rows of the
-    valid 3x3 correlation.
+    """Yield (samples, rows, patch matrix) for each of `_blocks`: the im2col
+    of `x`, or with `pad` of `x` zero-padded by 2, for the block's output
+    rows of the valid 3x3 correlation, an (s, c*9, r*wo) matrix whose rows
+    are in (c, dy, dx) order and whose columns are exactly the block's
+    output positions.
 
-    With x padded to (n, c, h, w), a sample is a flat (c, h*w) array, and
-    the patch of output (y, x) at tap (c, dy, dx) is its element
-    [c, (y+dy)*w + x + dx]. So output rows y0 .. y0+r-1 read the r*w - 2
-    columns from y0*w of one strided (c, 3, 3, (h-2)*w - 2) view of the
-    sample, and a block is one copy of that view into a (m, c*9, r*w - 2)
-    matrix, rows in (c, dy, dx) order. Each row of outputs carries w
-    columns, of which the last 2 are junk; the last row stops before them.
-    The view is built once per call, of x (copied first if it is not
-    C-contiguous): building one per block costs more than the copies save.
-    With `pad`, each band is instead zero-padded into a small buffer sized
-    for the largest block, the only padded copy, and every block reads the
-    front of that buffer's one view. Every patch matrix is a view of one
-    buffer, overwritten by the next.
+    The patches are one strided (n, c, 3, 3, ho, wo) view whose element
+    [i, c, dy, dx, y, x] is x[i, c, y+dy, x+dx], and a block is one copy of
+    a slice of it. The view takes x's own strides, so x is never copied.
+    With `pad`, each band of x is instead laid into a small zero grid sized
+    for the largest block, with row pitch wo = w + 2: each row's 2 trailing
+    zeros are also the next row's left padding, and the view starts 2 zeros
+    early, in one extra zero row, so the same view formula reads the padded
+    band. Only a pad of 2 lays out this way. Every patch matrix is a view of
+    one buffer, overwritten by the next.
     """
-    _, c, h, w = x.shape
-    h, w = h + 2 * pad, w + 2 * pad
-    blocks = _blocks(x, h - KERNEL + 1, w)
+    n, c, h, w = x.shape
+    grow = KERNEL - 1 if pad else 1 - KERNEL
+    ho, wo = h + grow, w + grow
+    blocks = _blocks(x, ho, wo)
     m = max(s.stop - s.start for s, _ in blocks)
     rows = max(r.stop - r.start for _, r in blocks)
     if pad:
-        src = np.zeros((m, c, rows + KERNEL - 1, w), x.dtype)
+        # The view's last element is the grid's last: it reads no further.
+        grid = np.zeros((m, c, rows + KERNEL, wo), x.dtype)
+        src, shape = grid.reshape(-1)[wo - 2 :], (m, c, rows, wo)
     else:
-        src = np.ascontiguousarray(x)
-    step = src.itemsize
+        grid = src = x
+        shape = (n, c, ho, wo)
     windows = np.lib.stride_tricks.as_strided(
         src,
-        shape=(len(src), c, KERNEL, KERNEL, (src.shape[2] - KERNEL + 1) * w - 2),
-        strides=(*src.strides[:2], w * step, step, step),
+        shape=(*shape[:2], KERNEL, KERNEL, *shape[2:]),
+        strides=(*grid.strides, *grid.strides[2:]),
         writeable=False,
     )
-    buf = np.empty(m * c * KERNEL * KERNEL * (rows * w - 2), x.dtype)
+    buf = np.empty(m * c * KERNEL * KERNEL * rows * wo, x.dtype)
     for samples, band in blocks:
         s, r = samples.stop - samples.start, band.stop - band.start
-        cols = _rows_view(buf, s, c, KERNEL, KERNEL, r * w - 2)
+        cols = buf[: s * c * KERNEL * KERNEL * r * wo]
+        cols = cols.reshape(s, c, KERNEL, KERNEL, r, wo)
         if pad:
-            # The band reads x rows lo .. hi-1; rows outside x are zeros.
-            lo, hi = band.start - pad, band.stop + KERNEL - 1 - pad
-            a, b = max(lo, 0), min(hi, x.shape[2])
-            dst = src[:s]
+            # Grid row j + 1 holds x row lo + j; rows outside x are zeros.
+            lo, hi = band.start - 2, band.stop
+            a, b = max(lo, 0), min(hi, h)
+            dst = grid[:s, :, 1:]
             dst[:, :, : a - lo] = 0
-            dst[:, :, a - lo : b - lo, pad : w - pad] = x[samples, :, a:b]
+            dst[:, :, a - lo : b - lo, :w] = x[samples, :, a:b]
             dst[:, :, b - lo : hi - lo] = 0
-            np.copyto(cols, windows[:s, ..., : r * w - 2])
+            np.copyto(cols, windows[:s, ..., :r, :])
         else:
-            start = band.start * w
-            np.copyto(cols, windows[samples, ..., start : start + r * w - 2])
-        yield samples, band, cols.reshape(s, c * KERNEL * KERNEL, -1)
+            np.copyto(cols, windows[samples, ..., band, :])
+        yield samples, band, cols.reshape(s, c * KERNEL * KERNEL, r * wo)
 
 
 def conv2d_forward(
@@ -193,11 +179,10 @@ def conv2d_forward(
 ) -> np.ndarray:
     """out(i,f,y,x) = bias(f) + sum_{c,dy,dx} w(f,c,dy,dx) * x(i,c,y+dy,x+dx).
 
-    One GEMM per block of full-row patches (`_patches`) into a small
-    (m, k, rows, w) buffer; the block's rows are copied from it into the
-    C-contiguous (n, k, ho, wo) out without the 2 junk columns of each, and
-    the bias is added to them while they are in cache. `out`, when given,
-    must be such an array of the result's dtype; it is returned.
+    One GEMM per block of patches (`_patches`), written straight into the
+    block's rows of the C-contiguous (n, k, ho, wo) out, and the bias is
+    added to them while they are in cache. `out`, when given, must be such
+    an array of the result's dtype; it is returned.
     """
     require_rank(x, 4, "conv input")
     n, c, h, w = x.shape
@@ -218,16 +203,11 @@ def conv2d_forward(
             f"conv output must be C-contiguous {shape} {dtype}, got "
             f"{out.shape} {out.dtype}"
         )
-    bias = layer.bias.reshape(k, 1, 1)
-    rows_buf = None
+    out_rows = out.reshape(n, k, ho * wo)  # a view: out is C-contiguous
+    bias = layer.bias.reshape(k, 1)
     for samples, rows, cols in _patches(x):
-        s, r = cols.shape[0], rows.stop - rows.start
-        if rows_buf is None:  # the first block is the largest
-            rows_buf = np.empty(s * k * r * w, dtype)
-        g = _rows_view(rows_buf, s, k, r, w)
-        np.matmul(wmat, cols, out=g.reshape(s, k, r * w)[..., : r * w - 2])
-        block = out[samples, :, rows]
-        np.copyto(block, g[..., :wo])
+        block = out_rows[samples, :, rows.start * wo : rows.stop * wo]
+        np.matmul(wmat, cols, out=block)
         block += bias
     return out
 
@@ -241,21 +221,20 @@ def conv2d_backward(
     and its upstream, that BN's d_input, sums to 0 over each channel (Ioffe
     & Szegedy 2015, arXiv 1502.03167, section 3).
 
-    Each block builds one full-row patch matrix P of the upstream
-    zero-padded by 2 (`_patches(upstream, pad=2)` pads band by band), over
-    the block's (h, w) input positions, each row with 2 junk columns, and
-    both gradients read it. d_input is the flipped weights times P: the
-    valid correlation of the padded upstream with each kernel rotated 180
-    degrees and the in/out channel axes swapped, d_x(i,c,y,x) =
+    Each block builds one patch matrix P of the upstream zero-padded by 2
+    (`_patches(upstream, pad=True)` pads band by band), over the block's
+    (h, w) input positions, and both gradients read it. d_input is the
+    flipped weights times P, written straight into the block's rows of
+    d_input: the valid correlation of the padded upstream with each kernel
+    rotated 180 degrees and the in/out channel axes swapped, d_x(i,c,y,x) =
     sum_{f,ey,ex} w(f,c,2-ey,2-ex) * pad(up)(i,f,y+ey,x+ex) (Dumoulin &
     Visin 2016, arXiv 1603.07285, sec. 4). d_weights is the block's rows of
-    x, copied into a buffer whose 2 junk columns per row are zero, times
-    P^T, a (c, k*9) matrix flipped back, since sum_{i,y,x} x(i,c,y,x) *
-    pad(up)(i,f,y+ey,x+ex) = d_w(f,c,2-ey,2-ex).
+    x, read in place, times P^T, a (c, k*9) matrix flipped back, since
+    sum_{i,y,x} x(i,c,y,x) * pad(up)(i,f,y+ey,x+ex) = d_w(f,c,2-ey,2-ex).
 
     With `input_grad=False` (the first block, whose input is the image)
     d_input is None and no upstream patch is built: d_weights is the
-    upstream, with zero junk columns, times x's own full-row patches, a
+    block's rows of the upstream, read in place, times x's own patches, a
     (k, c*9) matrix over the (ho, wo) output positions.
     """
     require_rank(x, 4, "conv input")
@@ -270,31 +249,21 @@ def conv2d_backward(
         )
     dtype = np.result_type(upstream, x)
     if not input_grad:
-        rows_buf = None
         d_weights = np.zeros((k, c * KERNEL * KERNEL), dtype)
         for samples, rows, cols in _patches(x):
-            s, r = cols.shape[0], rows.stop - rows.start
-            if rows_buf is None:  # the first block is the largest
-                rows_buf = np.zeros(s * k * r * w, dtype)
-            up_rows = _full_rows(upstream[samples, :, rows], rows_buf, w)
+            up_rows = upstream[samples, :, rows].reshape(len(cols), k, -1)
             d_weights += np.matmul(up_rows, cols.transpose(0, 2, 1)).sum(axis=0)
         return None, d_weights.reshape(layer.weights.shape)
 
-    wp = w + KERNEL - 1  # full-row width of the padded upstream
     flipped = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
     d_input = np.empty(x.shape, x.dtype)
+    d_rows = d_input.reshape(n, c, h * w)  # a view: d_input is C-contiguous
     d_flipped = np.zeros((c, k * KERNEL * KERNEL), dtype)
-    x_buf = g_buf = None
-    for samples, rows, cols in _patches(upstream, pad=KERNEL - 1):
-        s, r = cols.shape[0], rows.stop - rows.start
-        if x_buf is None:  # the first block is the largest
-            x_buf = np.zeros(s * c * r * wp, dtype)
-            g_buf = np.empty(s * c * r * wp, d_input.dtype)
-        x_rows = _full_rows(x[samples, :, rows], x_buf, wp)
+    for samples, rows, cols in _patches(upstream, pad=True):
+        x_rows = x[samples, :, rows].reshape(len(cols), c, -1)
         d_flipped += np.matmul(x_rows, cols.transpose(0, 2, 1)).sum(axis=0)
-        g = _rows_view(g_buf, s, c, r, wp)
-        np.matmul(flipped, cols, out=g.reshape(s, c, r * wp)[..., : r * wp - 2])
-        d_input[samples, :, rows] = g[..., :w]
+        span = slice(rows.start * w, rows.stop * w)
+        np.matmul(flipped, cols, out=d_rows[samples, :, span])
     d_weights = d_flipped.reshape(c, k, KERNEL, KERNEL)[:, :, ::-1, ::-1]
     return d_input, d_weights.transpose(1, 0, 2, 3)
 

@@ -253,14 +253,24 @@ class TestEval:
         assert lines[1] == "0.0,0.1,1"
         assert lines[10] == "0.9,1.0,2"
 
-    def test_histogram_unknown_video_fails(self, tmp_path):
+    def test_histogram_unknown_video_fails(self, tmp_path, capsys):
+        """The id is checked before any output: an earlier run's run.json is
+        left as it was, and no file joins it."""
         log = tmp_path / "log.csv"
         evaluator.write_predictions([PredictionRecord("v", 0, 1, 0.9)], log)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "run.json").write_text("{}")
         code = cli.main([
-            "eval", "--predictions", str(log), "--histogram", "nope",
-            "--out", str(tmp_path / "o"),
+            "eval", "--predictions", str(log), "--level", "video",
+            "--histogram", "nope", "--out", str(out),
         ])
         assert code == 1
+        assert [p.name for p in out.iterdir()] == ["run.json"]
+        assert (out / "run.json").read_text() == "{}"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no predictions for video 'nope'" in captured.err
 
     def test_predictions_and_weights_conflict(self, tmp_path):
         code = cli.main([

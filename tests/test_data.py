@@ -58,6 +58,11 @@ class TestParseManifest:
         with pytest.raises(ManifestError, match="line 4"):
             data.parse_manifest(text)
 
+    def test_label_change_within_video_names_line_and_video(self):
+        text = GOOD_MANIFEST + "a/2.ppm,0,vidA,1\n" + "a/3.ppm,1,vidA,2\n"
+        with pytest.raises(ManifestError, match="line 5: video 'vidA'"):
+            data.parse_manifest(text)
+
     def test_same_video_distinct_frames_ok(self):
         text = GOOD_MANIFEST + "a/2.ppm,0,vidA,1\n"
         assert len(data.parse_manifest(text)) == 3

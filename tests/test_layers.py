@@ -187,11 +187,11 @@ class TestConvAgainstReference:
     def test_blocks_tile_the_output_once(self, shape, dtype):
         n, c, h, w = shape
         x = np.zeros(shape, dtype)
-        ho = h - 2
+        ho, wo = h - 2, w - 2
         seen = np.zeros((n, ho), int)
-        for samples, rows in layers._blocks(x, ho, w):
+        for samples, rows in layers._blocks(x, ho, wo):
             seen[samples, rows] += 1
-            row_bytes = c * 9 * w * x.itemsize  # a full row of patch columns
+            row_bytes = c * 9 * wo * x.itemsize  # one row of patch columns
             block_rows = (samples.stop - samples.start) * (rows.stop - rows.start)
             assert block_rows * row_bytes <= max(layers.PATCH_BYTES, row_bytes)
         assert (seen == 1).all()
@@ -223,19 +223,18 @@ class TestConvAgainstReference:
             if input_grad:
                 assert_rel(d_input, want_input, 1e-9, "d_input")
 
-    # Full-row patches at their edges: one output row or column (a row of
-    # patch columns is then only the 2 junk columns short of w), and a last
-    # band of one row or a last block of one sample, in the forward's blocks
-    # of x (which input_grad=False also reads) or in the backward's blocks of
-    # the upstream padded by 2.
+    # Blocks of full output rows at their edges: one output row or column,
+    # and a last band of one row or a last block of one sample, in the
+    # forward's blocks of x (which input_grad=False also reads) or in the
+    # backward's blocks of the upstream padded by 2.
     @pytest.mark.parametrize("shape,path,last", [
         pytest.param((2, 3, 3, 9), None, None, id="ho1"),
         pytest.param((2, 3, 9, 3), None, None, id="wo1"),
         pytest.param((2, 3, 3, 3), None, None, id="ho1-wo1"),
         pytest.param((2, 4, 21, 100), "forward", (1, 1), id="forward-1-row-band"),
-        pytest.param((2, 4, 18, 100), "backward", (1, 1), id="backward-1-row-band"),
-        pytest.param((9, 4, 16, 16), "forward", (1, 14), id="forward-1-sample-block"),
-        pytest.param((7, 4, 16, 16), "backward", (1, 16), id="backward-1-sample-block"),
+        pytest.param((2, 4, 19, 100), "backward", (1, 1), id="backward-1-row-band"),
+        pytest.param((10, 4, 16, 16), "forward", (1, 14), id="forward-1-sample-block"),
+        pytest.param((8, 4, 16, 16), "backward", (1, 16), id="backward-1-sample-block"),
     ])
     def test_full_row_edges_match_reference(self, rng, shape, path, last):
         n, c, h, w = shape
@@ -244,12 +243,51 @@ class TestConvAgainstReference:
         upstream = rng.normal(size=(n, 4, h - 2, w - 2))
         if path is not None:
             if path == "forward":
-                blocks = layers._blocks(x, h - 2, w)
+                blocks = layers._blocks(x, h - 2, w - 2)
             else:
-                blocks = layers._blocks(upstream, h, w + 2)
+                blocks = layers._blocks(upstream, h, w)
             sizes = [(s.stop - s.start, r.stop - r.start) for s, r in blocks]
             assert sizes[-1] == last and sizes[0] != last, sizes
         self.assert_matches_reference(x, layer, upstream)
+
+    # The array `_patches` reads, with or without its padding by 2: several
+    # blocks of several samples, a last band of one row at each dtype, one
+    # output row or column, and (with pad) one input row or column.
+    @pytest.mark.parametrize("shape,pad,dtype,last", [
+        pytest.param((10, 4, 16, 16), False, np.float64, (1, 14), id="samples"),
+        pytest.param((8, 4, 14, 14), True, np.float64, (1, 16), id="pad-samples"),
+        pytest.param((2, 4, 21, 100), False, np.float64, (1, 1), id="band-f64"),
+        pytest.param((2, 4, 40, 100), False, np.float32, (1, 1), id="band-f32"),
+        pytest.param((2, 4, 17, 98), True, np.float64, (1, 1), id="pad-band-f64"),
+        pytest.param((2, 4, 35, 98), True, np.float32, (1, 1), id="pad-band-f32"),
+        pytest.param((3, 3, 3, 9), False, np.float32, None, id="ho1"),
+        pytest.param((3, 3, 9, 3), False, np.float64, None, id="wo1"),
+        pytest.param((3, 3, 1, 7), True, np.float32, None, id="pad-h1"),
+        pytest.param((3, 3, 7, 1), True, np.float64, None, id="pad-w1"),
+    ])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_patches_equal_reference_im2col(self, rng, shape, pad, dtype, last, transposed):
+        n, c, h, w = shape
+        if transposed:
+            x = rng.normal(size=shape[::-1]).astype(dtype).transpose(3, 2, 1, 0)
+            assert not x.flags.c_contiguous
+        else:
+            x = rng.normal(size=shape).astype(dtype)
+        src = np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2))) if pad else x
+        ho, wo = src.shape[2] - 2, src.shape[3] - 2
+        want = reference_layers._im2col(src).reshape(n, ho, wo, c * 9)
+        sizes = []
+        for samples, rows, cols in layers._patches(x, pad):
+            s, r = samples.stop - samples.start, rows.stop - rows.start
+            expected = want[samples, rows].reshape(s, r * wo, c * 9).transpose(0, 2, 1)
+            assert cols.dtype == dtype
+            assert np.array_equal(cols, expected), (samples, rows)
+            sizes.append((s, r))
+        assert sizes == [
+            (s.stop - s.start, r.stop - r.start) for s, r in layers._blocks(x, ho, wo)
+        ]
+        if last is not None:
+            assert sizes[-1] == last and sizes[0] != last, sizes
 
     def test_non_contiguous_input_same_result(self, rng):
         x = rng.normal(size=(3, 4, 11, 9)).transpose(0, 1, 3, 2)
