@@ -202,21 +202,27 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
     out = _prepare_out(args.out)
     records = _eval_records(args)
-    if args.histogram and all(r.video_id != args.histogram for r in records):
+    # Every figure is computed before the first file is written, so a log
+    # that any of them refuses leaves --out as it was.
+    chosen = [r for r in records if r.video_id == args.histogram]
+    if args.histogram and not chosen:
         raise ForgenetError(f"no predictions for video {args.histogram!r}")
+    counts = eval_mod.probability_histogram(chosen) if args.histogram else None
+    if args.level == "frame":
+        accuracy, cm, misclassified = eval_mod.frame_metrics(records)
+    else:
+        accuracy, cm, verdicts = eval_mod.video_metrics(records)
     outputs = [out / PREDICTIONS_NAME]
     eval_mod.write_predictions(records, out / PREDICTIONS_NAME)
 
     metrics: dict[str, object] = {}
     if args.level == "frame":
-        accuracy, cm, misclassified = eval_mod.frame_metrics(records)
         print(f"frame accuracy {accuracy:.4f}")
         print(f"misclassified frames: {misclassified} of {len(records)}")
         metrics["frame_accuracy"] = accuracy
         metrics["misclassified_frames"] = misclassified
         metrics["total_frames"] = len(records)
     else:
-        accuracy, cm, verdicts = eval_mod.video_metrics(records)
         misses = [v for v in verdicts if v.predicted != v.truth]
         print(f"video accuracy {accuracy:.4f}")
         print(f"missed videos: {len(misses)} of {len(verdicts)}")
@@ -244,9 +250,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 cm.rates[truth, detected]
             )
 
-    if args.histogram:
-        chosen = [r for r in records if r.video_id == args.histogram]
-        counts = eval_mod.probability_histogram(chosen)
+    if counts is not None:
         hist_path = out / f"histogram_{args.histogram}.csv"
         bins = eval_mod.HISTOGRAM_BINS
         table = [

@@ -189,11 +189,16 @@ def write_predictions(records: list[PredictionRecord], path) -> None:
 def read_predictions(path) -> list[PredictionRecord]:
     text = Path(path).read_text(encoding="utf-8")
     records: list[PredictionRecord] = []
+    seen: set[tuple[str, int]] = set()
     for line_no, row in data_mod.read_csv(text, PREDICTIONS_HEADER, "empty prediction log"):
         try:
             frame_index = int(row[1])
         except ValueError:
             raise ManifestError(f"line {line_no}: bad frame_index {row[1]!r}") from None
+        key = (row[0], frame_index)
+        if key in seen:
+            raise ManifestError(f"line {line_no}: duplicate (video_id, frame_index) {key}")
+        seen.add(key)
         try:
             truth = int(row[2])
             probability = float(row[3])

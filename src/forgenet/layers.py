@@ -9,12 +9,12 @@ squashed by a clamped sigmoid feeding binary cross-entropy.
 All functions are dtype-preserving so the same code runs the float32
 model path and the float64 finite-difference path.
 
-Conv is one GEMM per block of samples or band of rows, over a patch matrix
-whose columns are exactly the block's output positions; `_patches`, the
-only patch builder, copies it in one piece from a strided view, and the
-GEMM writes into the result's rows. Backward pads the upstream by 2 band
-by band, each band laid into a small zero grid whose row pitch makes the
-same view read it, and reads one patch matrix of it per block for both
+Conv is one 2-D GEMM per band of output rows of one sample, over a patch
+matrix whose columns are exactly the band's output positions; `_patches`,
+the only patch builder, copies it in one piece from a strided view, and
+the GEMM writes into the result's rows. Backward pads the upstream by 2
+one sample at a time, each laid into one zero grid whose row pitch makes
+the same view read it, and reads one patch matrix of it per band for both
 gradients; the first conv, which needs no input gradient, takes its
 weight gradient from the patches of its input instead. Conv, BN and dense
 backward return d_input, then the gradients training applies; conv has no
@@ -88,90 +88,80 @@ class BatchNormCache:
     inv_std: np.ndarray
 
 
-# Conv works through the batch in blocks of at most PATCH_BYTES of patch
-# matrix, so that a block's patches, input rows and output rows fit in one
-# core's L2 cache (1-2 MB on current x86 server cores) and the GEMM reads
-# the patches from cache rather than main memory. A whole-batch patch
-# matrix at 128px would be up to 283 MB, and conv time would then follow
-# other processes' memory traffic. Smaller blocks cost more Python calls
-# than they save.
+# Conv works through each sample in bands of output rows with at most
+# PATCH_BYTES of patch matrix, so that a band's patches, input rows and
+# output rows fit in one core's L2 cache (1-2 MB on current x86 server
+# cores) and the GEMM reads the patches from cache rather than main memory.
+# One sample's patch matrix at 128px is already 2.3 MB (4 channels,
+# float32), and conv time would then follow other processes' memory
+# traffic. Smaller bands cost more Python calls than they save.
 PATCH_BYTES = 1 << 19
 
 
-def _blocks(x: np.ndarray, ho: int, wo: int) -> list[tuple[slice, slice]]:
-    """(samples, output rows) slices that tile an (n, ho) batch of outputs,
-    each with a patch matrix of at most PATCH_BYTES where one row of `wo`
-    outputs allows: several whole samples when one sample fits, otherwise
-    bands of rows of one sample."""
-    n, c = x.shape[:2]
+def _bands(x: np.ndarray, ho: int, wo: int) -> list[slice]:
+    """Bands of output rows that tile one sample's `ho` rows, each with a
+    patch matrix of at most PATCH_BYTES where one row of `wo` outputs
+    allows."""
+    c = x.shape[1]
     rows = max(1, PATCH_BYTES // (c * KERNEL * KERNEL * wo * x.itemsize))
-    if rows >= ho:
-        step = rows // ho
-        return [
-            (slice(i, min(i + step, n)), slice(0, ho)) for i in range(0, n, step)
-        ]
-    return [
-        (slice(i, i + 1), slice(r, min(r + rows, ho)))
-        for i in range(n)
-        for r in range(0, ho, rows)
-    ]
+    return [slice(r, min(r + rows, ho)) for r in range(0, ho, rows)]
 
 
 def _patches(
     x: np.ndarray, pad: bool = False
-) -> Iterator[tuple[slice, slice, np.ndarray]]:
-    """Yield (samples, rows, patch matrix) for each of `_blocks`: the im2col
-    of `x`, or with `pad` of `x` zero-padded by 2, for the block's output
-    rows of the valid 3x3 correlation, an (s, c*9, r*wo) matrix whose rows
-    are in (c, dy, dx) order and whose columns are exactly the block's
-    output positions.
+) -> Iterator[tuple[int, slice, np.ndarray]]:
+    """Yield (sample, rows, patch matrix) for each of `_bands` of each
+    sample: the im2col of `x`, or with `pad` of `x` zero-padded by 2, for
+    the band's output rows of the valid 3x3 correlation, a (c*9, r*wo)
+    matrix whose rows are in (c, dy, dx) order and whose columns are
+    exactly the band's output positions.
 
     The patches are one strided (n, c, 3, 3, ho, wo) view whose element
-    [i, c, dy, dx, y, x] is x[i, c, y+dy, x+dx], and a block is one copy of
+    [i, c, dy, dx, y, x] is x[i, c, y+dy, x+dx], and a band is one copy of
     a slice of it. The view takes x's own strides, so x is never copied.
-    With `pad`, each band of x is instead laid into a small zero grid sized
-    for the largest block, with row pitch wo = w + 2: each row's 2 trailing
-    zeros are also the next row's left padding, and the view starts 2 zeros
-    early, in one extra zero row, so the same view formula reads the padded
-    band. Only a pad of 2 lays out this way. Every patch matrix is a view of
+    With `pad`, the view instead reads one zero grid of one sample, of row
+    pitch wo = w + 2 and h + 5 rows, whose rows 3 to h + 2 take each
+    sample's rows in turn; the rest is never written. Each row's 2 trailing
+    zeros are also the next row's left padding, and the view starts at the
+    last 2 zeros of row 0, so the same view formula reads the sample padded
+    by 2. Only a pad of 2 lays out this way. Every patch matrix is a view of
     one buffer, overwritten by the next.
     """
     n, c, h, w = x.shape
     grow = KERNEL - 1 if pad else 1 - KERNEL
     ho, wo = h + grow, w + grow
-    blocks = _blocks(x, ho, wo)
-    m = max(s.stop - s.start for s, _ in blocks)
-    rows = max(r.stop - r.start for _, r in blocks)
     if pad:
         # The view's last element is the grid's last: it reads no further.
-        grid = np.zeros((m, c, rows + KERNEL, wo), x.dtype)
-        src, shape = grid.reshape(-1)[wo - 2 :], (m, c, rows, wo)
+        grid = np.zeros((1, c, h + 5, wo), x.dtype)
+        src = grid.reshape(-1)[w:]
     else:
         grid = src = x
-        shape = (n, c, ho, wo)
     windows = np.lib.stride_tricks.as_strided(
         src,
-        shape=(*shape[:2], KERNEL, KERNEL, *shape[2:]),
+        shape=(len(grid), c, KERNEL, KERNEL, ho, wo),
         strides=(*grid.strides, *grid.strides[2:]),
         writeable=False,
     )
-    buf = np.empty(m * c * KERNEL * KERNEL * rows * wo, x.dtype)
-    for samples, band in blocks:
-        s, r = samples.stop - samples.start, band.stop - band.start
-        cols = buf[: s * c * KERNEL * KERNEL * r * wo]
-        cols = cols.reshape(s, c, KERNEL, KERNEL, r, wo)
+    bands = _bands(x, ho, wo)
+    # The first band is the largest: only the last may be shorter.
+    buf = np.empty(c * KERNEL * KERNEL * bands[0].stop * wo, x.dtype)
+    # Per band, made once rather than once per sample, since at small
+    # frames each sample's Python work adds measurably to conv: the copy's
+    # (c, 3, 3, r, wo) target in buf, the (c*9, r*wo) matrix it yields and
+    # its slice of the view.
+    plan = []
+    for rows in bands:
+        cols = buf[: c * KERNEL * KERNEL * (rows.stop - rows.start) * wo]
+        cols = cols.reshape(c, KERNEL, KERNEL, -1, wo)
+        matrix = cols.reshape(c * KERNEL * KERNEL, -1)
+        plan.append((rows, cols, matrix, windows[..., rows, :]))
+    for i in range(n):
         if pad:
-            # Grid row j + 1 holds x row lo + j; rows outside x are zeros.
-            lo, hi = band.start - 2, band.stop
-            a, b = max(lo, 0), min(hi, h)
-            dst = grid[:s, :, 1:]
-            dst[:, :, : a - lo] = 0
-            dst[:, :, a - lo : b - lo, :w] = x[samples, :, a:b]
-            dst[:, :, b - lo : hi - lo] = 0
-            np.copyto(cols, windows[:s, ..., :r, :])
-        else:
-            np.copyto(cols, windows[samples, ..., band, :])
-        yield samples, band, cols.reshape(s, c * KERNEL * KERNEL, r * wo)
+            # Grid row j + 3 holds x row j; the rest of the grid stays zero.
+            grid[0, :, 3 : h + 3, :w] = x[i]
+        for rows, cols, matrix, view in plan:
+            np.copyto(cols, view[0 if pad else i])
+            yield i, rows, matrix
 
 
 def conv2d_forward(
@@ -179,8 +169,8 @@ def conv2d_forward(
 ) -> np.ndarray:
     """out(i,f,y,x) = bias(f) + sum_{c,dy,dx} w(f,c,dy,dx) * x(i,c,y+dy,x+dx).
 
-    One GEMM per block of patches (`_patches`), written straight into the
-    block's rows of the C-contiguous (n, k, ho, wo) out, and the bias is
+    One GEMM per band of patches (`_patches`), written straight into the
+    band's rows of the C-contiguous (n, k, ho, wo) out, and the bias is
     added to them while they are in cache. `out`, when given, must be such
     an array of the result's dtype; it is returned.
     """
@@ -205,10 +195,10 @@ def conv2d_forward(
         )
     out_rows = out.reshape(n, k, ho * wo)  # a view: out is C-contiguous
     bias = layer.bias.reshape(k, 1)
-    for samples, rows, cols in _patches(x):
-        block = out_rows[samples, :, rows.start * wo : rows.stop * wo]
-        np.matmul(wmat, cols, out=block)
-        block += bias
+    for i, rows, cols in _patches(x):
+        band = out_rows[i, :, rows.start * wo : rows.stop * wo]
+        np.matmul(wmat, cols, out=band)
+        band += bias
     return out
 
 
@@ -221,20 +211,20 @@ def conv2d_backward(
     and its upstream, that BN's d_input, sums to 0 over each channel (Ioffe
     & Szegedy 2015, arXiv 1502.03167, section 3).
 
-    Each block builds one patch matrix P of the upstream zero-padded by 2
-    (`_patches(upstream, pad=True)` pads band by band), over the block's
-    (h, w) input positions, and both gradients read it. d_input is the
-    flipped weights times P, written straight into the block's rows of
+    Each band builds one patch matrix P of the upstream zero-padded by 2
+    (`_patches(upstream, pad=True)` pads one sample at a time), over the
+    band's (h, w) input positions, and both gradients read it. d_input is
+    the flipped weights times P, written straight into the band's rows of
     d_input: the valid correlation of the padded upstream with each kernel
     rotated 180 degrees and the in/out channel axes swapped, d_x(i,c,y,x) =
     sum_{f,ey,ex} w(f,c,2-ey,2-ex) * pad(up)(i,f,y+ey,x+ex) (Dumoulin &
-    Visin 2016, arXiv 1603.07285, sec. 4). d_weights is the block's rows of
-    x, read in place, times P^T, a (c, k*9) matrix flipped back, since
+    Visin 2016, arXiv 1603.07285, sec. 4). d_weights sums the band's rows
+    of x, read in place, times P^T, a (c, k*9) matrix flipped back, since
     sum_{i,y,x} x(i,c,y,x) * pad(up)(i,f,y+ey,x+ex) = d_w(f,c,2-ey,2-ex).
 
     With `input_grad=False` (the first block, whose input is the image)
-    d_input is None and no upstream patch is built: d_weights is the
-    block's rows of the upstream, read in place, times x's own patches, a
+    d_input is None and no upstream patch is built: d_weights sums the
+    band's rows of the upstream, read in place, times x's own patches, a
     (k, c*9) matrix over the (ho, wo) output positions.
     """
     require_rank(x, 4, "conv input")
@@ -250,20 +240,18 @@ def conv2d_backward(
     dtype = np.result_type(upstream, x)
     if not input_grad:
         d_weights = np.zeros((k, c * KERNEL * KERNEL), dtype)
-        for samples, rows, cols in _patches(x):
-            up_rows = upstream[samples, :, rows].reshape(len(cols), k, -1)
-            d_weights += np.matmul(up_rows, cols.transpose(0, 2, 1)).sum(axis=0)
+        for i, rows, cols in _patches(x):
+            d_weights += upstream[i, :, rows].reshape(k, -1) @ cols.T
         return None, d_weights.reshape(layer.weights.shape)
 
     flipped = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
     d_input = np.empty(x.shape, x.dtype)
     d_rows = d_input.reshape(n, c, h * w)  # a view: d_input is C-contiguous
     d_flipped = np.zeros((c, k * KERNEL * KERNEL), dtype)
-    for samples, rows, cols in _patches(upstream, pad=True):
-        x_rows = x[samples, :, rows].reshape(len(cols), c, -1)
-        d_flipped += np.matmul(x_rows, cols.transpose(0, 2, 1)).sum(axis=0)
+    for i, rows, cols in _patches(upstream, pad=True):
+        d_flipped += x[i, :, rows].reshape(c, -1) @ cols.T
         span = slice(rows.start * w, rows.stop * w)
-        np.matmul(flipped, cols, out=d_rows[samples, :, span])
+        np.matmul(flipped, cols, out=d_rows[i, :, span])
     d_weights = d_flipped.reshape(c, k, KERNEL, KERNEL)[:, :, ::-1, ::-1]
     return d_input, d_weights.transpose(1, 0, 2, 3)
 

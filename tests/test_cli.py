@@ -272,6 +272,40 @@ class TestEval:
         assert captured.out == ""
         assert "no predictions for video 'nope'" in captured.err
 
+    # Logs that `eval` refuses only after reading them: a video whose frames
+    # carry two labels (video_metrics refuses it), and a frame listed twice
+    # (read_predictions refuses it; counted twice, v would tally 1 original
+    # and 2 fake).
+    REFUSED_LOGS = {
+        "two-labels": "v,0,1,0.9\nv,1,0,0.1\n",
+        "repeated-frame": "v,0,1,0.9\nv,1,1,0.2\nv,0,1,0.9\n",
+    }
+
+    @pytest.mark.parametrize("earlier_run", [False, True], ids=["fresh", "earlier"])
+    @pytest.mark.parametrize("case", sorted(REFUSED_LOGS))
+    def test_refused_log_writes_nothing(self, tmp_path, capsys, case, earlier_run):
+        """Every figure is computed before any file is written: a fresh --out
+        stays empty, and an earlier run's files stay byte-identical."""
+        out = tmp_path / "o"
+        if earlier_run:
+            good = tmp_path / "good.csv"
+            evaluator.write_predictions([PredictionRecord("v", 0, 1, 0.9)], good)
+            assert cli.main([
+                "eval", "--predictions", str(good), "--level", "video",
+                "--histogram", "v", "--out", str(out),
+            ]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if earlier_run else {}
+        capsys.readouterr()
+        log = tmp_path / "log.csv"
+        log.write_text("video_id,frame_index,truth,probability\n" + self.REFUSED_LOGS[case])
+        code = cli.main([
+            "eval", "--predictions", str(log), "--level", "video",
+            "--histogram", "v", "--out", str(out),
+        ])
+        assert code == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert capsys.readouterr().out == ""
+
     def test_predictions_and_weights_conflict(self, tmp_path):
         code = cli.main([
             "eval", "--predictions", "p.csv", "--weights", "w.fgn",

@@ -336,6 +336,19 @@ class TestPredictionLogIO:
         with pytest.raises(ManifestError, match="probability"):
             evaluator.read_predictions(path)
 
+    def test_repeated_frame_names_line_and_key(self, tmp_path):
+        """Two distinct frames of v, one listed twice: counted twice, it would
+        tally v as 1 original and 2 fake."""
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "video_id,frame_index,truth,probability\n"
+            "v,0,1,0.9\nv,1,1,0.2\nv,0,1,0.9\n"
+        )
+        with pytest.raises(
+            ManifestError, match=r"line 4: duplicate \(video_id, frame_index\) \('v', 0\)"
+        ):
+            evaluator.read_predictions(path)
+
     def test_field_count_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("video_id,frame_index,truth,probability\nv,0,1\n")

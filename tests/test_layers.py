@@ -129,10 +129,10 @@ def assert_rel(actual, expected, rtol, what):
 
 
 class TestConvAgainstReference:
-    """The blocked-GEMM conv against the strided im2col path it replaced."""
+    """The banded-GEMM conv against the strided im2col path it replaced."""
 
-    # (5, 32) ends on a block of one sample; (4, 128) on a short band of
-    # rows. 9x7 is not square, and one 2000-wide output row of four
+    # (5, 32) is one band per sample; (4, 128) ends each sample on a short
+    # band of rows. 9x7 is not square, and one 2000-wide output row of four
     # channels exceeds PATCH_BYTES: d_input's kernel flip, channel swap and
     # padding would show on both.
     @pytest.mark.parametrize("batch,height,width", [
@@ -188,16 +188,19 @@ class TestConvAgainstReference:
         n, c, h, w = shape
         x = np.zeros(shape, dtype)
         ho, wo = h - 2, w - 2
-        seen = np.zeros((n, ho), int)
-        for samples, rows in layers._blocks(x, ho, wo):
-            seen[samples, rows] += 1
-            row_bytes = c * 9 * wo * x.itemsize  # one row of patch columns
-            block_rows = (samples.stop - samples.start) * (rows.stop - rows.start)
-            assert block_rows * row_bytes <= max(layers.PATCH_BYTES, row_bytes)
+        row_bytes = c * 9 * wo * x.itemsize  # one row of patch columns
+        seen, yielded = np.zeros((n, ho), int), []
+        for i, rows, cols in layers._patches(x):
+            seen[i, rows] += 1
+            yielded.append((i, rows))
+            assert cols.shape == (c * 9, (rows.stop - rows.start) * wo)
+            assert cols.nbytes <= max(layers.PATCH_BYTES, row_bytes)
         assert (seen == 1).all()
+        bands = layers._bands(x, ho, wo)
+        assert yielded == [(i, rows) for i in range(n) for rows in bands]
 
     def test_without_input_grad_same_parameter_gradients(self, rng):
-        # The last two shapes run in bands of rows of one sample. The two
+        # The last two shapes run in several bands per sample. The two
         # routes take d_weights from different patches, so they agree with
         # the reference, not bitwise with each other.
         for shape in ((3, 3, 9, 7), (2, 3, 4, 2002), (1, 3, 128, 128)):
@@ -223,71 +226,72 @@ class TestConvAgainstReference:
             if input_grad:
                 assert_rel(d_input, want_input, 1e-9, "d_input")
 
-    # Blocks of full output rows at their edges: one output row or column,
-    # and a last band of one row or a last block of one sample, in the
-    # forward's blocks of x (which input_grad=False also reads) or in the
-    # backward's blocks of the upstream padded by 2.
-    @pytest.mark.parametrize("shape,path,last", [
-        pytest.param((2, 3, 3, 9), None, None, id="ho1"),
-        pytest.param((2, 3, 9, 3), None, None, id="wo1"),
-        pytest.param((2, 3, 3, 3), None, None, id="ho1-wo1"),
-        pytest.param((2, 4, 21, 100), "forward", (1, 1), id="forward-1-row-band"),
-        pytest.param((2, 4, 19, 100), "backward", (1, 1), id="backward-1-row-band"),
-        pytest.param((10, 4, 16, 16), "forward", (1, 14), id="forward-1-sample-block"),
-        pytest.param((8, 4, 16, 16), "backward", (1, 16), id="backward-1-sample-block"),
+    # Bands of full output rows at their edges: one output row or column,
+    # and a last band of one row, in the forward's bands of x (which
+    # input_grad=False also reads) or in the backward's bands of the
+    # upstream padded by 2.
+    @pytest.mark.parametrize("shape,path", [
+        pytest.param((2, 3, 3, 9), None, id="ho1"),
+        pytest.param((2, 3, 9, 3), None, id="wo1"),
+        pytest.param((2, 3, 3, 3), None, id="ho1-wo1"),
+        pytest.param((2, 4, 21, 100), "forward", id="forward-1-row-band"),
+        pytest.param((2, 4, 19, 100), "backward", id="backward-1-row-band"),
     ])
-    def test_full_row_edges_match_reference(self, rng, shape, path, last):
+    def test_full_row_edges_match_reference(self, rng, shape, path):
         n, c, h, w = shape
         x = rng.normal(size=shape)
         layer = make_conv(rng, 4, c)
         upstream = rng.normal(size=(n, 4, h - 2, w - 2))
         if path is not None:
             if path == "forward":
-                blocks = layers._blocks(x, h - 2, w - 2)
+                bands = layers._bands(x, h - 2, w - 2)
             else:
-                blocks = layers._blocks(upstream, h, w)
-            sizes = [(s.stop - s.start, r.stop - r.start) for s, r in blocks]
-            assert sizes[-1] == last and sizes[0] != last, sizes
+                bands = layers._bands(upstream, h, w)
+            sizes = [rows.stop - rows.start for rows in bands]
+            assert sizes[-1] == 1 and sizes[0] != 1, sizes
         self.assert_matches_reference(x, layer, upstream)
 
     # The array `_patches` reads, with or without its padding by 2: several
-    # blocks of several samples, a last band of one row at each dtype, one
+    # samples of one band each, a last band of one row at each dtype, one
     # output row or column, and (with pad) one input row or column.
-    @pytest.mark.parametrize("shape,pad,dtype,last", [
-        pytest.param((10, 4, 16, 16), False, np.float64, (1, 14), id="samples"),
-        pytest.param((8, 4, 14, 14), True, np.float64, (1, 16), id="pad-samples"),
-        pytest.param((2, 4, 21, 100), False, np.float64, (1, 1), id="band-f64"),
-        pytest.param((2, 4, 40, 100), False, np.float32, (1, 1), id="band-f32"),
-        pytest.param((2, 4, 17, 98), True, np.float64, (1, 1), id="pad-band-f64"),
-        pytest.param((2, 4, 35, 98), True, np.float32, (1, 1), id="pad-band-f32"),
-        pytest.param((3, 3, 3, 9), False, np.float32, None, id="ho1"),
-        pytest.param((3, 3, 9, 3), False, np.float64, None, id="wo1"),
-        pytest.param((3, 3, 1, 7), True, np.float32, None, id="pad-h1"),
-        pytest.param((3, 3, 7, 1), True, np.float64, None, id="pad-w1"),
+    @pytest.mark.parametrize("shape,pad,dtype,last_band", [
+        pytest.param((10, 4, 16, 16), False, np.float64, False, id="samples"),
+        pytest.param((4, 3, 10, 12), True, np.float32, False, id="pad-samples"),
+        pytest.param((2, 4, 21, 100), False, np.float64, True, id="band-f64"),
+        pytest.param((2, 4, 40, 100), False, np.float32, True, id="band-f32"),
+        pytest.param((2, 4, 17, 98), True, np.float64, True, id="pad-band-f64"),
+        pytest.param((2, 4, 35, 98), True, np.float32, True, id="pad-band-f32"),
+        pytest.param((3, 3, 3, 9), False, np.float32, False, id="ho1"),
+        pytest.param((3, 3, 9, 3), False, np.float64, False, id="wo1"),
+        pytest.param((3, 3, 1, 7), True, np.float32, False, id="pad-h1"),
+        pytest.param((3, 3, 7, 1), True, np.float64, False, id="pad-w1"),
     ])
     @pytest.mark.parametrize("transposed", [False, True])
-    def test_patches_equal_reference_im2col(self, rng, shape, pad, dtype, last, transposed):
+    def test_patches_equal_reference_im2col(
+        self, rng, shape, pad, dtype, last_band, transposed
+    ):
         n, c, h, w = shape
         if transposed:
             x = rng.normal(size=shape[::-1]).astype(dtype).transpose(3, 2, 1, 0)
             assert not x.flags.c_contiguous
         else:
             x = rng.normal(size=shape).astype(dtype)
+        # Every sample's first and last rows are non-zero, so a padded sample
+        # that read its neighbour's rows into its border would show.
+        assert x[:, :, [0, -1]].all()
         src = np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2))) if pad else x
         ho, wo = src.shape[2] - 2, src.shape[3] - 2
         want = reference_layers._im2col(src).reshape(n, ho, wo, c * 9)
-        sizes = []
-        for samples, rows, cols in layers._patches(x, pad):
-            s, r = samples.stop - samples.start, rows.stop - rows.start
-            expected = want[samples, rows].reshape(s, r * wo, c * 9).transpose(0, 2, 1)
+        yielded = []
+        for i, rows, cols in layers._patches(x, pad):
+            expected = want[i, rows].reshape(-1, c * 9).T
             assert cols.dtype == dtype
-            assert np.array_equal(cols, expected), (samples, rows)
-            sizes.append((s, r))
-        assert sizes == [
-            (s.stop - s.start, r.stop - r.start) for s, r in layers._blocks(x, ho, wo)
-        ]
-        if last is not None:
-            assert sizes[-1] == last and sizes[0] != last, sizes
+            assert np.array_equal(cols, expected), (i, rows)
+            yielded.append((i, rows))
+        bands = layers._bands(x, ho, wo)
+        assert yielded == [(i, rows) for i in range(n) for rows in bands]
+        sizes = [rows.stop - rows.start for rows in bands]
+        assert (sizes[-1] == 1 and sizes[0] != 1) == last_band, sizes
 
     def test_non_contiguous_input_same_result(self, rng):
         x = rng.normal(size=(3, 4, 11, 9)).transpose(0, 1, 3, 2)
@@ -318,7 +322,7 @@ class TestConvAgainstReference:
 
     def test_backward_pads_band_by_band(self, rng):
         """Beyond its d_input, backward allocates less than one copy of the
-        upstream padded by 2: each band is padded into a small buffer."""
+        upstream padded by 2: one sample at a time is padded into one grid."""
         x = rng.normal(size=(16, 4, 64, 64)).astype(np.float32)
         layer = make_conv(rng, 4, 4, dtype=np.float32)
         upstream = rng.normal(size=(16, 4, 62, 62)).astype(np.float32)
