@@ -71,9 +71,13 @@ def run_ablation(
     val_manifest: data_mod.DatasetManifest,
     test_manifest: data_mod.DatasetManifest,
 ) -> list[AblationRow]:
+    """One row per value of the axis. Every value's configs and every frame's
+    size are checked before the first point trains."""
+    configs = [derive_configs(spec, value) for value in spec.values]
+    size = (spec.base_net.height, spec.base_net.width)
+    data_mod.check_frame_sizes(size, train_manifest, val_manifest, test_manifest)
     rows: list[AblationRow] = []
-    for value in spec.values:
-        net_cfg, train_cfg = derive_configs(spec, value)
+    for value, (net_cfg, train_cfg) in zip(spec.values, configs):
         started = time.perf_counter()
         net = model_mod.build(net_cfg)
         net, records, _ = trainer_mod.train(net, train_manifest, val_manifest, train_cfg)
@@ -84,14 +88,7 @@ def run_ablation(
         runtime = time.perf_counter() - started
         final = records[-1]
         rows.append(
-            AblationRow(
-                axis=spec.axis,
-                value=value,
-                train_acc=final.train_acc,
-                val_acc=final.val_acc,
-                test_acc=test_acc,
-                runtime_s=runtime,
-            )
+            AblationRow(spec.axis, value, final.train_acc, final.val_acc, test_acc, runtime)
         )
     return rows
 

@@ -2,9 +2,10 @@
 
 Conv is valid-padding, stride-1, 3x3, cross-correlation convention (no
 kernel flip). Batch normalization runs only in training; at inference,
-`batchnorm_fold` folds it, with its moving statistics, into the conv before
-it. The hidden activation is ReLU; the output head is a width-1 dense layer
-squashed by a clamped sigmoid feeding binary cross-entropy.
+`batchnorm_fold` folds it, with the statistics the trainer stores, into
+the conv before it. The hidden activation is ReLU; the output head is a
+width-1 dense layer squashed by a clamped sigmoid feeding binary
+cross-entropy.
 
 All functions are dtype-preserving so the same code runs the float32
 model path and the float64 finite-difference path.
@@ -37,7 +38,6 @@ from .tensor import require_rank
 
 KERNEL = 3
 
-BN_MOMENTUM = 0.99  # moving statistics <- m * moving + (1 - m) * batch
 BN_EPSILON = 1e-3  # added to the variance before its square root
 
 # Probabilities are clamped into [PROB_CLAMP, 1 - PROB_CLAMP] so the
@@ -84,6 +84,7 @@ class DenseLayer:
 @dataclass
 class BatchNormCache:
     xhat: np.ndarray
+    mean: np.ndarray
     var: np.ndarray
     inv_std: np.ndarray
 
@@ -260,9 +261,9 @@ def batchnorm_forward(
     x: np.ndarray, layer: BatchNormLayer
 ) -> tuple[np.ndarray, BatchNormCache]:
     """Per-channel standardization over (n, h, w) with batch statistics
-    (biased variance), then affine gamma/beta. Updates the moving
-    statistics in place and returns the backward cache, whose `xhat` is `x`.
-    """
+    (biased variance), then affine gamma/beta. Writes no layer tensor;
+    returns the backward cache, whose `xhat` is `x` and whose `mean` and
+    `var` are the batch statistics."""
     require_rank(x, 4, "batchnorm input")
     n, c, h, w = x.shape
     if c != layer.channels:
@@ -278,9 +279,7 @@ def batchnorm_forward(
     x *= inv_std.reshape(1, c, 1, 1)
     out = x * layer.gamma.reshape(1, c, 1, 1)
     out += layer.beta.reshape(1, c, 1, 1)
-    layer.moving_mean[:] = BN_MOMENTUM * layer.moving_mean + (1.0 - BN_MOMENTUM) * mean
-    layer.moving_var[:] = BN_MOMENTUM * layer.moving_var + (1.0 - BN_MOMENTUM) * var
-    return out, BatchNormCache(xhat=x, var=var, inv_std=inv_std)
+    return out, BatchNormCache(xhat=x, mean=mean, var=var, inv_std=inv_std)
 
 
 def batchnorm_backward(
@@ -310,7 +309,7 @@ def batchnorm_backward(
 
 
 def batchnorm_fold(conv: ConvLayer, bn: BatchNormLayer) -> ConvLayer:
-    """The conv whose output is `bn`, with its moving statistics, applied to
+    """The conv whose output is `bn`, with its stored statistics, applied to
     `conv`'s: s = gamma / sqrt(moving_var + eps), w' = w * s per filter and
     b' = (b - moving_mean) * s + beta (Jacob et al. 2018, arXiv 1712.05877,
     section 3.2). A new layer on each call; neither input changes."""

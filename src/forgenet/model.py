@@ -4,11 +4,11 @@ The default configuration is 4 conv blocks (4 filters each, 3x3, valid
 padding, stride 1), each followed by batch normalization and ReLU, then
 flatten and a width-1 dense head with sigmoid output: 58,221 stored
 parameters at 3x128x128 input (IN_CHANNELS is 3: `data.load_image`
-decodes only RGB PPM), of which training updates 58,173. The other 48 are
-the moving BN statistics, which training-mode BN sets, and the conv
-biases: each conv feeds a training-mode BN that subtracts the channel's
-batch mean, so a conv bias has no gradient, and backward computes none.
-It is stored, and inference folds it into its conv, but never updated.
+decodes only RGB PPM), of which Adam updates 58,173. The other 48 are
+the 32 BN statistics, which the trainer sets after each epoch, and the
+conv biases: each conv feeds a training-mode BN that subtracts the
+channel's batch mean, so a conv bias has no gradient, and backward
+computes none. It is stored, and inference folds it in, but never updated.
 
 BN runs only in training, where a forward keeps each block's input and
 normalised values for backward. In training each conv output, BN output
@@ -36,7 +36,8 @@ float32, no padding):
 Schema order is `Network.state_tensors()`: per conv block i, conv{i}.weights,
 conv{i}.bias, bn{i}.gamma, bn{i}.beta, bn{i}.moving_mean, bn{i}.moving_var;
 then dense.weights, dense.bias. The header holds every NetworkConfig field
-but the seed, in field order.
+but the seed, in field order. The BN statistics keep the `moving_*` names
+FGN1 files carry, though no moving average makes them any more.
 """
 
 from __future__ import annotations
@@ -212,12 +213,12 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the network; returns clamped probabilities and the backward cache.
 
-    Training mode updates BN moving statistics, keeps each block's input
-    and normalised values for backward and releases the inference buffers.
-    Inference mode folds each BN into its conv, writes the block outputs
-    into the net's two block buffers, changes no state tensor and returns
-    None for the cache. Neither writes `x`, and the probabilities are a new
-    array.
+    Training mode keeps each block's input, normalised values and batch
+    statistics in the cache and releases the inference buffers. Inference
+    mode folds each BN, with its stored statistics, into its conv, writes
+    the block outputs into the net's two block buffers and returns None for
+    the cache. Neither writes `x` or a state tensor, and the probabilities
+    are a new array.
     """
     require_rank(x, 4, "network input")
     cfg = net.config

@@ -2,9 +2,12 @@
 
 Each epoch reshuffles the training manifest with a seed derived from
 (config.seed, epoch) so a run is reproducible end to end while epochs still
-see different orders. Validation runs in inference mode and never touches
-network state. Early stopping compares the last two validation accuracies:
-training stops once they differ by less than the configured delta.
+see different orders. Adam writes the parameters each step; after an
+epoch's last step each BN's inference statistics become its batch means
+and biased batch variances, averaged over the epoch's frames. Validation
+runs in inference mode and never touches network state. Early stopping
+compares the last two validation accuracies: training stops once they
+differ by less than the configured delta.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import data as data_mod
 from . import evaluator as eval_mod
@@ -111,6 +116,7 @@ def train(
         loss_sum = 0.0
         correct = 0
         seen = 0
+        stats = 0.0  # per BN, the sum of batch (mean, var) times batch frames
         batches = data_mod.make_batches(
             train_manifest, config.batch_size, shuffle=True, seed=[config.seed, epoch]
         )
@@ -118,8 +124,11 @@ def train(
             batch = data_mod.assemble_batch(
                 train_manifest, indices, threads=config.loader_threads
             )
+            n = len(indices)
             probs, cache = model_mod.forward(net, batch.x, training=True)
             loss, _ = bce_loss(probs, batch.y)
+            # A comprehension: a loop name would keep a cache's xhat alive.
+            stats += n * np.array([(c.mean, c.var) for c in cache.bn_caches], float)
             grads = model_mod.backward(net, cache, batch.y)
             try:
                 adam_step(params, grads, adam)
@@ -129,7 +138,6 @@ def train(
                     f"epoch {epoch}, batch {position} (first sample: video "
                     f"{video_id!r}, frame {frame_index}): {exc}"
                 ) from exc
-            n = len(indices)
             loss_sum += loss * n
             correct += int(
                 (eval_mod.classify_batch(probs) == batch.y.astype(int)).sum()
@@ -137,6 +145,8 @@ def train(
             seen += n
         train_loss = loss_sum / seen
         train_acc = correct / seen
+        for bn, (mean, var) in zip(net.bns, stats / seen):
+            bn.moving_mean[:], bn.moving_var[:] = mean, var
         val_acc = validation_accuracy(
             net, val_manifest, config.batch_size, config.loader_threads
         )

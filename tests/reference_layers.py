@@ -5,12 +5,14 @@ runs. The conv functions are the earlier path it replaced: a strided
 `sliding_window_view` im2col, one (n*ho*wo, c*9) patch GEMM whose output
 is an NCHW view over NHWC memory, and a backward pass that always computes
 the input gradient. The BN functions are the earlier two-mode forward
-(batch statistics in training, moving statistics at inference) and the
+(batch statistics in training, stored statistics at inference) and the
 backward that sums over dxhat = upstream * gamma. They differ from the
-originals only in reading momentum and epsilon from the module constants
-and in returning the same gradient tuples as `forgenet.layers`, with no
-conv bias gradient. Tests compare the program's conv, BN backward and
-folded inference against them.
+originals in reading epsilon from the module constant, in returning the
+same gradient tuples as `forgenet.layers`, with no conv bias gradient, and
+in writing no layer tensor: the training forward returns the batch mean
+and variance in its cache, as `forgenet.layers` does, for the trainer to
+average into the stored statistics. Tests compare the program's conv, BN
+backward and folded inference against them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from forgenet.errors import ContractError, DegenerateBatchError, ShapeError
 from forgenet.layers import (
     BN_EPSILON,
-    BN_MOMENTUM,
     KERNEL,
     BatchNormCache,
     BatchNormLayer,
@@ -97,11 +98,10 @@ def batchnorm_forward(
 ) -> tuple[np.ndarray, BatchNormCache | None]:
     """Per-channel standardization over (n, h, w), then affine gamma/beta.
 
-    Training mode normalizes with batch statistics (biased variance),
-    updates the moving statistics in place
-    (moving <- momentum * moving + (1 - momentum) * batch) and returns the
-    backward cache. Inference mode uses the moving statistics, mutates
-    nothing and returns None for the cache.
+    Training mode normalizes with batch statistics (biased variance) and
+    returns the backward cache, which holds them. Inference mode uses the
+    stored statistics and returns None for the cache. Neither mode writes
+    the layer.
     """
     require_rank(x, 4, "batchnorm input")
     n, c, h, w = x.shape
@@ -120,11 +120,7 @@ def batchnorm_forward(
     out = layer.gamma.reshape(1, c, 1, 1) * xhat + layer.beta.reshape(1, c, 1, 1)
     if not training:
         return out, None
-
-    m = BN_MOMENTUM
-    layer.moving_mean[:] = m * layer.moving_mean + (1.0 - m) * mean
-    layer.moving_var[:] = m * layer.moving_var + (1.0 - m) * var
-    return out, BatchNormCache(xhat=xhat, var=var, inv_std=inv_std)
+    return out, BatchNormCache(xhat=xhat, mean=mean, var=var, inv_std=inv_std)
 
 
 def batchnorm_backward(

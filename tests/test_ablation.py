@@ -1,7 +1,7 @@
 import pytest
 
-from forgenet import ablation, model, trainer
-from forgenet.errors import ConfigError
+from forgenet import ablation, data, model, trainer
+from forgenet.errors import ConfigError, ShapeError
 
 NET_CFG = model.NetworkConfig(conv_layers=2, filters=2, height=24, width=24, seed=3)
 TRAIN_CFG = trainer.TrainConfig(epochs=1, batch_size=16, early_stop_delta=0.0)
@@ -95,6 +95,43 @@ class TestRunAblation:
         strip = lambda rows: [(r.axis, r.value, r.train_acc, r.val_acc, r.test_acc)
                               for r in rows]
         assert strip(a) == strip(b)
+
+
+class TestRefusesBeforeTraining:
+    """A sweep with a bad value or a frame of the wrong size fails before
+    its first point takes an Adam step."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        calls = []
+        step = trainer.adam_step
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "adam_step", counted)
+        return calls
+
+    def test_test_frames_of_another_size(self, tmp_path, steps):
+        train = data.generate_synthetic(4, 4, 16, 1, tmp_path / "train")
+        val = data.generate_synthetic(2, 4, 16, 2, tmp_path / "val", split="val")
+        test = data.generate_synthetic(2, 4, 20, 3, tmp_path / "test", split="test")
+        net = model.NetworkConfig(conv_layers=2, filters=2, height=16, width=16)
+        spec = ablation.AblationSpec("batch_size", (4, 8), net, TRAIN_CFG)
+        with pytest.raises(ShapeError, match="test"):
+            ablation.run_ablation(spec, train, val, test)
+        assert not steps
+
+    def test_invalid_later_value(self, synth_root, steps):
+        _, manifests = synth_root
+        # 12 valid conv layers need at least 25x25 input; the base is 24x24
+        with pytest.raises(ConfigError, match="layers=12"):
+            ablation.run_ablation(
+                spec_for("layers", (1, 12)),
+                manifests["train"], manifests["val"], manifests["test"],
+            )
+        assert not steps
 
 
 class TestAblationCsv:

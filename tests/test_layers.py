@@ -336,7 +336,7 @@ class TestConvAgainstReference:
         assert peak - d_input.nbytes < padded_bytes, peak
 
 
-def test_float32_batch_statistics_at_paper_shape(rng, monkeypatch):
+def test_float32_batch_statistics_at_paper_shape(rng):
     """Float32 conv -> BN batch statistics at 128px, batch 128, against float64.
 
     Summing the conv output over (n, h, w) in float32 stays accurate only
@@ -349,14 +349,10 @@ def test_float32_batch_statistics_at_paper_shape(rng, monkeypatch):
         bias=np.array([1.0, -1.0, 0.5, -0.5], np.float32),
     )
 
-    # momentum 0 makes the moving statistics the batch statistics
-    monkeypatch.setattr(layers, "BN_MOMENTUM", 0.0)
-
     def batch_stats(h, dtype):
-        bn = make_bn(4, dtype)
-        _, cache = layers.batchnorm_forward(h, bn)
-        assert np.array_equal(bn.moving_var, cache.var)
-        return bn.moving_mean.astype(np.float64), bn.moving_var.astype(np.float64)
+        _, cache = layers.batchnorm_forward(h, make_bn(4, dtype))
+        assert cache.mean.dtype == cache.var.dtype == dtype
+        return cache.mean.astype(np.float64), cache.var.astype(np.float64)
 
     out = layers.conv2d_forward(x, layer)
     assert out.flags.c_contiguous
@@ -393,14 +389,17 @@ class TestBatchNormForward:
         expected = (x - 2.5) / math.sqrt(1.25 + 1e-3)
         assert_close(out, expected, 1e-6, atol=1e-6)
 
-    def test_moving_stats_update_rule(self, rng):
-        layer = make_bn(2)
+    def test_writes_no_layer_tensor_and_returns_batch_statistics(self, rng):
+        layer = make_bn(2, gamma=rng.uniform(0.5, 1.5, 2), beta=rng.normal(size=2))
+        before = {k: v.copy() for k, v in vars(layer).items()}
         x = rng.normal(loc=1.0, scale=2.0, size=(3, 2, 4, 4))
         mean = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
-        layers.batchnorm_forward(x, layer)
-        assert_close(layer.moving_mean, 0.99 * 0.0 + 0.01 * mean, 1e-9)
-        assert_close(layer.moving_var, 0.99 * 1.0 + 0.01 * var, 1e-9)
+        _, cache = layers.batchnorm_forward(x, layer)
+        for name, tensor in vars(layer).items():
+            assert tensor.tobytes() == before[name].tobytes(), name
+        assert_close(cache.mean, mean, 1e-9)
+        assert_close(cache.var, var, 1e-9)
 
     def test_single_element_training_rejected(self):
         layer = make_bn(1, np.float32)
@@ -436,9 +435,8 @@ class TestBatchNormForward:
         pairs = [
             ("output", out, expected),
             ("xhat", cache.xhat, ref_cache.xhat),
+            ("mean", cache.mean, ref_cache.mean),
             ("var", cache.var, ref_cache.var),
-            ("moving_mean", layer.moving_mean, ref_layer.moving_mean),
-            ("moving_var", layer.moving_var, ref_layer.moving_var),
         ]
         for name, got, want in pairs:
             assert_close(got, want, 1e-9, atol=1e-9 * np.abs(want).max(), what=name)

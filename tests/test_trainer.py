@@ -1,15 +1,17 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from forgenet import data, model, trainer
+from forgenet import data, evaluator, model, trainer
 from forgenet.errors import (
     ConfigError,
     ContractError,
     NonFiniteGradientError,
     ShapeError,
 )
+from forgenet.optim import AdamState, adam_step
 
 NET_CFG = model.NetworkConfig(conv_layers=2, filters=2, height=24, width=24, seed=3)
 
@@ -235,6 +237,71 @@ class TestDeskScaleSeparability:
         )
         assert records[1].train_loss < records[0].train_loss
         assert records[-1].train_acc >= 0.99
+
+
+class TestInferenceStatistics:
+    """After each epoch the BN statistics that inference folds in are the
+    epoch's batch statistics, averaged over its frames."""
+
+    @pytest.mark.parametrize("size", [16, 32, 128])
+    def test_one_batch_inference_matches_training_mode(self, tmp_path, size):
+        manifest = data.generate_synthetic(4, 2, size, 11, tmp_path / "train")
+        net = model.build(model.NetworkConfig(height=size, width=size, seed=5))
+        trainer.train(
+            net, manifest, manifest,
+            quick_config(epochs=1, batch_size=len(manifest.rows), lr=0.0),
+        )
+        batch = data.assemble_batch(manifest, list(range(len(manifest.rows))))
+        trained, _ = model.forward(net, batch.x, training=True)
+        inferred, _ = model.forward(net, batch.x, training=False)
+        assert np.abs(inferred - trained).max() <= 1e-5
+
+    def test_held_out_frames_above_chance(self, tmp_path):
+        # 800 frames at batch 128 are 7 steps an epoch, 56 in all: too few
+        # for statistics that accumulate over steps from mean 0 and
+        # variance 1 to reach the trained net's.
+        train = data.generate_synthetic(200, 4, 32, 201, tmp_path / "train")
+        val = data.generate_synthetic(24, 8, 32, 202, tmp_path / "val", split="val")
+        test = data.generate_synthetic(24, 8, 32, 203, tmp_path / "test", split="test")
+        net = model.build(model.NetworkConfig(height=32, width=32, seed=5))
+        _, records, _ = trainer.train(
+            net, train, val, quick_config(epochs=8, batch_size=128, seed=5)
+        )
+        accuracy, _, _ = evaluator.frame_metrics(evaluator.predict_manifest(net, test))
+        assert records[-1].train_acc > 0.9
+        assert accuracy > 0.75
+
+
+class TestTrainMemory:
+    def test_epoch_peak_is_one_bare_step_peak(self, tmp_path):
+        """An epoch of one batch holds no more at its peak than a bare
+        decode, forward, backward and Adam step on that batch: nothing in
+        the loop keeps a block's cache alive through backward."""
+        manifest = data.generate_synthetic(4, 4, 64, 11, tmp_path / "train")
+        val = data.generate_synthetic(2, 2, 64, 12, tmp_path / "val", split="val")
+        net = model.build(model.NetworkConfig(height=64, width=64, seed=5))
+        config = quick_config(epochs=1, batch_size=16)
+        (indices,) = data.make_batches(manifest, 16, shuffle=True, seed=[0, 1])
+
+        def epoch():
+            trainer.train(net, manifest, val, config)
+
+        def bare_step():
+            batch = data.assemble_batch(manifest, indices)
+            probs, cache = model.forward(net, batch.x, training=True)
+            grads = model.backward(net, cache, batch.y)
+            adam_step(net.parameters(), grads, AdamState(lr=config.lr))
+
+        def peak(run):
+            run()  # one-off allocations happen here
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(epoch) <= 1.01 * peak(bare_step)
 
 
 class TestValidationPurity:
