@@ -2,14 +2,14 @@
 
 Every point on an axis trains a fresh network from the same seed, so the
 only thing that varies between rows is the swept value. Rows report final
-train/validation accuracy, a test-set accuracy, and the wall-clock cost of
-the point.
+train/validation accuracy, test-set accuracy at frame and video level, and
+the wall-clock cost of the point.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import data as data_mod
 from . import evaluator as eval_mod
@@ -18,7 +18,9 @@ from . import trainer as trainer_mod
 from .errors import ConfigError
 
 AXES = ("layers", "batch_size", "filters")
-ABLATION_HEADER = ["axis", "value", "train_acc", "val_acc", "test_acc", "runtime_s"]
+ABLATION_HEADER = [
+    "axis", "value", "train_acc", "val_acc", "test_acc", "test_video_acc", "runtime_s",
+]
 
 
 @dataclass(frozen=True)
@@ -27,6 +29,9 @@ class AblationSpec:
     values: tuple[int, ...]
     base_net: model_mod.NetworkConfig
     base_train: trainer_mod.TrainConfig
+    # (network, training) configs of each value, derived on construction so
+    # that a bad value fails before any manifest is read or output made
+    configs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.axis not in AXES:
@@ -35,6 +40,8 @@ class AblationSpec:
             raise ConfigError("ablation values must be non-empty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigError(f"ablation values must be strictly increasing, got {self.values}")
+        configs = tuple(derive_configs(self, value) for value in self.values)
+        object.__setattr__(self, "configs", configs)
 
 
 @dataclass(frozen=True)
@@ -44,6 +51,7 @@ class AblationRow:
     train_acc: float
     val_acc: float
     test_acc: float
+    test_video_acc: float
     runtime_s: float
 
 
@@ -71,13 +79,12 @@ def run_ablation(
     val_manifest: data_mod.DatasetManifest,
     test_manifest: data_mod.DatasetManifest,
 ) -> list[AblationRow]:
-    """One row per value of the axis. Every value's configs and every frame's
-    size are checked before the first point trains."""
-    configs = [derive_configs(spec, value) for value in spec.values]
+    """One row per value of the axis. Every frame's size is checked before
+    the first point trains, as the spec checked every value's configs."""
     size = (spec.base_net.height, spec.base_net.width)
     data_mod.check_frame_sizes(size, train_manifest, val_manifest, test_manifest)
     rows: list[AblationRow] = []
-    for value, (net_cfg, train_cfg) in zip(spec.values, configs):
+    for value, (net_cfg, train_cfg) in zip(spec.values, spec.configs):
         started = time.perf_counter()
         net = model_mod.build(net_cfg)
         net, records, _ = trainer_mod.train(net, train_manifest, val_manifest, train_cfg)
@@ -85,18 +92,20 @@ def run_ablation(
             net, test_manifest, train_cfg.batch_size, train_cfg.loader_threads
         )
         test_acc, _, _ = eval_mod.frame_metrics(predictions)
+        test_video_acc, _, _ = eval_mod.video_metrics(predictions)
         runtime = time.perf_counter() - started
         final = records[-1]
-        rows.append(
-            AblationRow(spec.axis, value, final.train_acc, final.val_acc, test_acc, runtime)
-        )
+        rows.append(AblationRow(
+            spec.axis, value, final.train_acc, final.val_acc, test_acc, test_video_acc,
+            runtime,
+        ))
     return rows
 
 
 def write_ablation_csv(rows: list[AblationRow], path) -> None:
     table = [
         [r.axis, r.value, f"{r.train_acc:.9g}", f"{r.val_acc:.9g}",
-         f"{r.test_acc:.9g}", f"{r.runtime_s:.6f}"]
+         f"{r.test_acc:.9g}", f"{r.test_video_acc:.9g}", f"{r.runtime_s:.6f}"]
         for r in rows
     ]
     data_mod.write_csv(path, ABLATION_HEADER, table)

@@ -119,7 +119,7 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
 
 
 def _configs(
-    args: argparse.Namespace, epochs: int
+    args: argparse.Namespace,
 ) -> tuple[model_mod.NetworkConfig, trainer_mod.TrainConfig]:
     """The network and training configs of the flags train and ablate share."""
     net_config = model_mod.NetworkConfig(
@@ -130,7 +130,7 @@ def _configs(
         seed=args.seed,
     )
     train_config = trainer_mod.TrainConfig(
-        epochs=epochs,
+        epochs=args.epochs,
         batch_size=args.batch,
         lr=args.lr,
         early_stop_delta=args.early_stop,
@@ -142,7 +142,7 @@ def _configs(
 
 def cmd_train(args: argparse.Namespace) -> int:
     started = _now()
-    net_config, train_config = _configs(args, args.epochs)
+    net_config, train_config = _configs(args)
     if args.print_params:
         print(model_mod.count_parameters(net_config))
         return EXIT_OK
@@ -183,12 +183,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _eval_records(args: argparse.Namespace) -> list[eval_mod.PredictionRecord]:
-    if args.predictions and args.weights:
-        raise ConfigError("eval takes --predictions or --weights, not both")
     if args.predictions:
         return eval_mod.read_predictions(args.predictions)
-    if not (args.weights and args.manifest):
-        raise ConfigError("eval requires --weights and --manifest, or --predictions")
     net = model_mod.load_weights(args.weights)
     manifest = data_mod.read_manifest(args.manifest, split="test")
     data_mod.check_frame_sizes((net.config.height, net.config.width), manifest)
@@ -197,6 +193,10 @@ def _eval_records(args: argparse.Namespace) -> list[eval_mod.PredictionRecord]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     started = _now()
+    if args.predictions and args.weights:
+        raise ConfigError("eval takes --predictions or --weights, not both")
+    if not (args.predictions or (args.weights and args.manifest)):
+        raise ConfigError("eval requires --weights and --manifest, or --predictions")
     for flag, value in (("--batch", args.batch), ("--threads", args.threads)):
         if value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
@@ -276,17 +276,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     started = _now()
-    out = _prepare_out(args.out)
     axis = AXIS_BY_FLAG[args.axis]
-    # Batch-size and filter sweeps default to a single epoch; only the
-    # depth sweep keeps the full schedule.
-    epochs = args.epochs
-    if epochs is None:
-        epochs = 10 if axis == "layers" else 1
-    base_net, base_train = _configs(args, epochs)
+    base_net, base_train = _configs(args)
     spec = ablation_mod.AblationSpec(
         axis=axis, values=args.values, base_net=base_net, base_train=base_train
     )
+    out = _prepare_out(args.out)
     train_manifest = data_mod.read_manifest(args.manifest, split="train")
     val_manifest = data_mod.read_manifest(args.val_manifest, split="val")
     test_manifest = data_mod.read_manifest(args.test_manifest, split="test")
@@ -297,7 +292,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         print(
             f"{row.axis}={row.value}: train_acc={row.train_acc:.4f} "
             f"val_acc={row.val_acc:.4f} test_acc={row.test_acc:.4f} "
-            f"({row.runtime_s:.1f}s)"
+            f"test_video_acc={row.test_video_acc:.4f} ({row.runtime_s:.1f}s)"
         )
     config = {
         "axis": axis,
@@ -337,12 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--early-stop", type=float, default=0.01)
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--threads", type=int, default=1)
+    shared.add_argument("--epochs", type=int, default=10)
 
     train = sub.add_parser("train", parents=[shared], help="train a detector")
     train.add_argument("--manifest")
     train.add_argument("--val-manifest")
     train.add_argument("--out")
-    train.add_argument("--epochs", type=int, default=10)
     train.add_argument("--checkpoints", action="store_true")
     train.add_argument(
         "--print-params",
@@ -371,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ab.add_argument("--axis", choices=tuple(AXIS_BY_FLAG), required=True)
     ab.add_argument("--values", type=_csv_ints, required=True)
-    ab.add_argument("--epochs", type=int, help="default: 10 for layers, 1 otherwise")
     ab.add_argument("--manifest", required=True)
     ab.add_argument("--val-manifest", required=True)
     ab.add_argument("--test-manifest", required=True)

@@ -102,8 +102,9 @@ def read_csv(source: str, header: list[str], empty: str) -> Iterator[tuple[int, 
         yield line_no, record
 
 
-def parse_manifest(source: str, split: str = "train") -> DatasetManifest:
-    """Parse manifest CSV text; rows keep file order.
+def parse_manifest(source: str, split: str = "train", directory: str = "") -> DatasetManifest:
+    """Parse manifest CSV text; rows keep file order. A relative row path is
+    joined to `directory` as written, and an absolute one is kept as given.
 
     Raises ManifestError with a 1-based line number for a bad header,
     malformed row, non-{0,1} label, duplicate (video_id, frame_index), or
@@ -134,21 +135,14 @@ def parse_manifest(source: str, split: str = "train") -> DatasetManifest:
                 f"line {line_no}: video {video_id!r} has label {label} on its "
                 f"earlier rows, this row has {label_text}"
             )
-        rows.append(ManifestRow(path, label, video_id, frame_index))
+        rows.append(ManifestRow(os.path.join(directory, path), label, video_id, frame_index))
     return DatasetManifest(rows=rows, split=split)
 
 
 def read_manifest(path, split: str = "train") -> DatasetManifest:
-    """Parse a manifest file, resolving relative row paths against its directory."""
+    """Parse a manifest file; relative row paths are joined to its directory."""
     path = Path(path)
-    manifest = parse_manifest(path.read_text(encoding="utf-8"), split=split)
-    base = path.parent
-    resolved = [
-        row if Path(row.path).is_absolute()
-        else ManifestRow(str(base / row.path), row.label, row.video_id, row.frame_index)
-        for row in manifest.rows
-    ]
-    return DatasetManifest(rows=resolved, split=split)
+    return parse_manifest(path.read_text(encoding="utf-8"), split, os.path.dirname(path))
 
 
 def write_manifest(manifest: DatasetManifest, path) -> None:
@@ -376,8 +370,8 @@ def generate_synthetic(
     two patch kinds share the same pixel-value multiset, so the label is
     invisible to global statistics and only local texture separates the
     classes. Faint pixel noise keeps every channel non-constant. Output is
-    byte-deterministic under a fixed seed. Returned row paths are resolved
-    against `destination`; the CSV on disk keeps them relative.
+    byte-deterministic under a fixed seed. Returns `read_manifest` of the
+    manifest written, whose rows keep their paths relative to `destination`.
     """
     if count_videos < 2 or count_videos % 2 != 0:
         raise ConfigError(f"count_videos must be even and >= 2, got {count_videos}")
@@ -390,8 +384,7 @@ def generate_synthetic(
 
     patch = min(max(4, (size // 4) & ~1), size - 2)
     patches = {0: _checker(patch, cell=2), 1: _checker(patch, cell=1)}
-    relative_rows: list[ManifestRow] = []
-    resolved_rows: list[ManifestRow] = []
+    rows: list[ManifestRow] = []
     for v in range(count_videos):
         label = v % 2  # alternating original / fake
         video_id = f"vid{v:04d}"
@@ -413,11 +406,6 @@ def generate_synthetic(
             frame = np.clip(frame, 0.0, 1.0)
             name = f"{f}.ppm"
             write_ppm(frame, video_dir / name)
-            relative_rows.append(ManifestRow(f"{video_id}/{name}", label, video_id, f))
-            resolved_rows.append(
-                ManifestRow(str(video_dir / name), label, video_id, f)
-            )
-    write_manifest(
-        DatasetManifest(rows=relative_rows, split=split), dest / MANIFEST_NAME
-    )
-    return DatasetManifest(rows=resolved_rows, split=split)
+            rows.append(ManifestRow(f"{video_id}/{name}", label, video_id, f))
+    write_manifest(DatasetManifest(rows=rows, split=split), dest / MANIFEST_NAME)
+    return read_manifest(dest / MANIFEST_NAME, split)

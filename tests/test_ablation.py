@@ -1,6 +1,6 @@
 import pytest
 
-from forgenet import ablation, data, model, trainer
+from forgenet import ablation, data, evaluator, model, trainer
 from forgenet.errors import ConfigError, ShapeError
 
 NET_CFG = model.NetworkConfig(conv_layers=2, filters=2, height=24, width=24, seed=3)
@@ -56,11 +56,11 @@ class TestDeriveConfigs:
             ablation.derive_configs(spec_for("layers", (1, 12)), 12)
 
     def test_zero_layers_named(self):
-        spec = ablation.AblationSpec(
-            axis="layers", values=(0,), base_net=NET_CFG, base_train=TRAIN_CFG
-        )
+        # The spec derives every value's configs, so it refuses on construction
         with pytest.raises(ConfigError, match="layers=0"):
-            ablation.derive_configs(spec, 0)
+            ablation.AblationSpec(
+                axis="layers", values=(0,), base_net=NET_CFG, base_train=TRAIN_CFG
+            )
 
 
 class TestRunAblation:
@@ -76,7 +76,29 @@ class TestRunAblation:
             assert 0.0 <= row.train_acc <= 1.0
             assert 0.0 <= row.val_acc <= 1.0
             assert 0.0 <= row.test_acc <= 1.0
+            assert 0.0 <= row.test_video_acc <= 1.0
             assert row.runtime_s > 0.0
+
+    def test_accuracies_score_the_same_predictions(self, synth_root, monkeypatch):
+        _, manifests = synth_root
+        logs = []
+        predict = evaluator.predict_manifest
+
+        def logged(net, manifest, *args):
+            records = predict(net, manifest, *args)
+            if manifest is manifests["test"]:  # not the trainer's val passes
+                logs.append(records)
+            return records
+
+        monkeypatch.setattr(evaluator, "predict_manifest", logged)
+        rows = ablation.run_ablation(
+            spec_for("filters", (1, 2)),
+            manifests["train"], manifests["val"], manifests["test"],
+        )
+        assert len(logs) == len(rows)
+        for row, log in zip(rows, logs):
+            assert row.test_acc == evaluator.frame_metrics(log)[0]
+            assert row.test_video_acc == evaluator.video_metrics(log)[0]
 
     def test_batch_axis_row_count(self, synth_root):
         _, manifests = synth_root
@@ -137,12 +159,12 @@ class TestRefusesBeforeTraining:
 class TestAblationCsv:
     def test_header_and_formatting(self, tmp_path):
         rows = [
-            ablation.AblationRow("layers", 1, 0.8, 0.75, 0.7, 1.5),
-            ablation.AblationRow("layers", 2, 0.9, 0.85, 0.8, 2.5),
+            ablation.AblationRow("layers", 1, 0.8, 0.75, 0.7, 0.625, 1.5),
+            ablation.AblationRow("layers", 2, 0.9, 0.85, 0.8, 0.75, 2.5),
         ]
         path = tmp_path / "ablation.csv"
         ablation.write_ablation_csv(rows, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "axis,value,train_acc,val_acc,test_acc,runtime_s"
-        assert lines[1].startswith("layers,1,0.8,0.75,0.7,")
+        assert lines[0] == "axis,value,train_acc,val_acc,test_acc,test_video_acc,runtime_s"
+        assert lines[1].startswith("layers,1,0.8,0.75,0.7,0.625,")
         assert len(lines) == 3

@@ -417,7 +417,7 @@ class TestAblate:
         ])
         assert code == 0
         lines = (out / "ablation_filters.csv").read_text().splitlines()
-        assert lines[0] == "axis,value,train_acc,val_acc,test_acc,runtime_s"
+        assert lines[0] == "axis,value,train_acc,val_acc,test_acc,test_video_acc,runtime_s"
         assert len(lines) == 3
         assert "filters=1" in capsys.readouterr().out
 
@@ -425,7 +425,7 @@ class TestAblate:
         "axis, flags, epochs",
         [
             ("layers", [], 10),
-            ("filters", [], 1),
+            ("filters", [], 10),
             ("layers", ["--epochs", "2"], 2),
             ("filters", ["--epochs", "2"], 2),
         ],
@@ -497,6 +497,23 @@ class TestAblate:
             "--out", str(tmp_path),
         ])
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ablate", "--axis", "filters", "--values", "1", "--lr", "nan"],
+    ["ablate", "--axis", "batch", "--values", "16,8"],
+    ["ablate", "--axis", "layers", "--values", "0"],
+    ["eval", "--predictions", "p", "--weights", "w"],
+    ["eval"],
+], ids=["ablate-lr-nan", "ablate-descending", "ablate-zero-layers",
+        "eval-both-sources", "eval-no-source"])
+def test_usage_error_comes_before_out(tmp_path, argv):
+    # The manifests, weights and log named do not exist: reading any would exit 1.
+    if argv[0] == "ablate":
+        argv = [*argv, "--manifest", "m", "--val-manifest", "v", "--test-manifest", "t"]
+    out = tmp_path / "o"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 class TestTopLevel:

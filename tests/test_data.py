@@ -78,6 +78,31 @@ class TestReadManifest:
         manifest = data.read_manifest(tmp_path / "m.csv")
         assert manifest.rows[0].path == str(tmp_path / "a/0.ppm")
 
+    def test_absolute_row_path_kept_as_given(self, tmp_path):
+        absolute = str(tmp_path / "elsewhere" / "0.ppm")
+        (tmp_path / "m.csv").write_text(
+            f"path,label,video_id,frame_index\n{absolute},0,v,0\nb/1.ppm,0,v,1\n"
+        )
+        rows = data.read_manifest(tmp_path / "m.csv").rows
+        assert [r.path for r in rows] == [absolute, str(tmp_path / "b/1.ppm")]
+
+    def test_relative_and_absolute_manifest_path_open_the_same_frames(
+        self, tmp_path, monkeypatch
+    ):
+        data.generate_synthetic(2, 2, 12, seed=4, destination=tmp_path / "d")
+        monkeypatch.chdir(tmp_path)
+        relative = data.read_manifest("./d/manifest.csv")
+        absolute = data.read_manifest(tmp_path / "d" / "manifest.csv")
+        assert relative.rows[0].path == "d/vid0000/0.ppm"
+        assert absolute.rows[0].path == str(tmp_path / "d" / "vid0000" / "0.ppm")
+        everything = list(range(len(absolute)))
+        np.testing.assert_array_equal(
+            data.assemble_batch(relative, everything).x,
+            data.assemble_batch(absolute, everything).x,
+        )
+        monkeypatch.chdir(tmp_path / "d")
+        assert data.read_manifest("manifest.csv").rows[0].path == "vid0000/0.ppm"
+
     def test_write_read_roundtrip(self, tmp_path):
         original = data.parse_manifest(GOOD_MANIFEST)
         data.write_manifest(original, tmp_path / "m.csv")
@@ -251,6 +276,11 @@ class TestMakeBatches:
 
 
 class TestGenerateSynthetic:
+    def test_returns_what_read_manifest_reads(self, tmp_path):
+        manifest = data.generate_synthetic(2, 3, 12, seed=3, destination=tmp_path, split="val")
+        assert manifest == data.read_manifest(tmp_path / "manifest.csv", split="val")
+        assert manifest.rows[-1].path == str(tmp_path / "vid0001" / "2.ppm")
+
     def test_counts_and_balance(self, tmp_path):
         manifest = data.generate_synthetic(4, 5, 16, seed=3, destination=tmp_path)
         assert len(manifest) == 20

@@ -1,4 +1,5 @@
-"""README checks: its commands parse, and its module map is complete."""
+"""README checks: its commands parse, the flags it names exist, and its
+module map is complete."""
 
 import re
 import shlex
@@ -31,6 +32,37 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(command)[1:])
         except SystemExit:
             raise AssertionError(f"README command does not parse: {command}") from None
+
+
+def subparsers() -> dict:
+    parser = cli.build_parser()
+    return parser._subparsers._group_actions[0].choices
+
+
+def option_strings(actions) -> set[str]:
+    return {flag for action in actions for flag in action.option_strings}
+
+
+def test_readme_flags_exist():
+    # pip's own flags appear in the install commands
+    text = "\n".join(line for line in README.splitlines() if not line.startswith("pip "))
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+    known = option_strings(cli.build_parser()._actions)
+    for sub in subparsers().values():
+        known |= option_strings(sub._actions)
+    assert named and named <= known, sorted(named - known)
+
+
+def test_readme_lists_the_flags_ablate_shares_with_train():
+    subs = subparsers()
+    # `parents=[shared]` gives both subparsers the same action objects
+    train = {id(action) for action in subs["train"]._actions}
+    shared = [a for a in subs["ablate"]._actions if id(a) in train]
+    prose = " ".join(README.split())
+    sentence = re.search(r"same network and training flags as `train` \(([^)]*)\)", prose)
+    assert sentence, "README lost the sentence listing the shared flags"
+    listed = re.findall(r"--[a-z][a-z-]*", sentence.group(1))
+    assert sorted(listed) == sorted(option_strings(shared))
 
 
 def test_module_map_lists_every_module():
