@@ -95,6 +95,7 @@ def _csv_ints(text: str) -> tuple[int, ...]:
 
 def cmd_gen_synth(args: argparse.Namespace) -> int:
     started = _now()
+    data_mod.check_synthetic(args.videos, args.frames, args.size)
     out = _prepare_out(args.out)
     manifest = data_mod.generate_synthetic(
         args.videos, args.frames, args.size, args.seed, out
@@ -193,8 +194,8 @@ def _eval_records(args: argparse.Namespace) -> list[eval_mod.PredictionRecord]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     started = _now()
-    if args.predictions and args.weights:
-        raise ConfigError("eval takes --predictions or --weights, not both")
+    if args.predictions and (args.weights or args.manifest):
+        raise ConfigError("eval takes --predictions or --weights and --manifest, not both")
     if not (args.predictions or (args.weights and args.manifest)):
         raise ConfigError("eval requires --weights and --manifest, or --predictions")
     for flag, value in (("--batch", args.batch), ("--threads", args.threads)):

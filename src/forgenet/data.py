@@ -353,6 +353,16 @@ def _checker(patch: int, cell: int) -> np.ndarray:
     return (grid * 2.0 - 1.0).astype(np.float32) * PATCH_AMPLITUDE
 
 
+def check_synthetic(count_videos: int, frames_per_video: int, size: int) -> None:
+    """ConfigError for the arguments `generate_synthetic` refuses."""
+    if count_videos < 2 or count_videos % 2 != 0:
+        raise ConfigError(f"count_videos must be even and >= 2, got {count_videos}")
+    if frames_per_video < 1:
+        raise ConfigError(f"frames_per_video must be >= 1, got {frames_per_video}")
+    if size < 8:
+        raise ConfigError(f"size must be >= 8, got {size}")
+
+
 def generate_synthetic(
     count_videos: int,
     frames_per_video: int,
@@ -373,12 +383,7 @@ def generate_synthetic(
     byte-deterministic under a fixed seed. Returns `read_manifest` of the
     manifest written, whose rows keep their paths relative to `destination`.
     """
-    if count_videos < 2 or count_videos % 2 != 0:
-        raise ConfigError(f"count_videos must be even and >= 2, got {count_videos}")
-    if frames_per_video < 1:
-        raise ConfigError(f"frames_per_video must be >= 1, got {frames_per_video}")
-    if size < 8:
-        raise ConfigError(f"size must be >= 8, got {size}")
+    check_synthetic(count_videos, frames_per_video, size)
     dest = Path(destination)
     dest.mkdir(parents=True, exist_ok=True)
 

@@ -504,9 +504,12 @@ class TestAblate:
     ["ablate", "--axis", "batch", "--values", "16,8"],
     ["ablate", "--axis", "layers", "--values", "0"],
     ["eval", "--predictions", "p", "--weights", "w"],
+    ["eval", "--predictions", "p", "--manifest", "m"],
     ["eval"],
+    ["gen-synth", "--videos", "3", "--frames", "1"],
 ], ids=["ablate-lr-nan", "ablate-descending", "ablate-zero-layers",
-        "eval-both-sources", "eval-no-source"])
+        "eval-both-sources", "eval-log-and-manifest",
+        "eval-no-source", "gen-synth-odd-videos"])
 def test_usage_error_comes_before_out(tmp_path, argv):
     # The manifests, weights and log named do not exist: reading any would exit 1.
     if argv[0] == "ablate":

@@ -276,10 +276,12 @@ class TestMakeBatches:
 
 
 class TestGenerateSynthetic:
-    def test_returns_what_read_manifest_reads(self, tmp_path):
-        manifest = data.generate_synthetic(2, 3, 12, seed=3, destination=tmp_path, split="val")
-        assert manifest == data.read_manifest(tmp_path / "manifest.csv", split="val")
-        assert manifest.rows[-1].path == str(tmp_path / "vid0001" / "2.ppm")
+    @pytest.mark.parametrize("destination", ["d", "./d", "."])
+    def test_returns_what_read_manifest_reads(self, tmp_path, monkeypatch, destination):
+        monkeypatch.chdir(tmp_path)
+        manifest = data.generate_synthetic(2, 3, 12, 3, destination, split="val")
+        assert manifest == data.read_manifest(Path(destination) / "manifest.csv", split="val")
+        assert manifest.rows[-1].path == str(Path(destination) / "vid0001" / "2.ppm")
 
     def test_counts_and_balance(self, tmp_path):
         manifest = data.generate_synthetic(4, 5, 16, seed=3, destination=tmp_path)
