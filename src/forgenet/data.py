@@ -384,12 +384,12 @@ def generate_synthetic(
     manifest written, whose rows keep their paths relative to `destination`.
     """
     check_synthetic(count_videos, frames_per_video, size)
+    manifest = DatasetManifest(rows=[], split=split)  # checks split before any write
     dest = Path(destination)
     dest.mkdir(parents=True, exist_ok=True)
 
     patch = min(max(4, (size // 4) & ~1), size - 2)
     patches = {0: _checker(patch, cell=2), 1: _checker(patch, cell=1)}
-    rows: list[ManifestRow] = []
     for v in range(count_videos):
         label = v % 2  # alternating original / fake
         video_id = f"vid{v:04d}"
@@ -411,6 +411,6 @@ def generate_synthetic(
             frame = np.clip(frame, 0.0, 1.0)
             name = f"{f}.ppm"
             write_ppm(frame, video_dir / name)
-            rows.append(ManifestRow(f"{video_id}/{name}", label, video_id, f))
-    write_manifest(DatasetManifest(rows=rows, split=split), dest / MANIFEST_NAME)
+            manifest.rows.append(ManifestRow(f"{video_id}/{name}", label, video_id, f))
+    write_manifest(manifest, dest / MANIFEST_NAME)
     return read_manifest(dest / MANIFEST_NAME, split)

@@ -4,7 +4,9 @@ A frame's probability is thresholded at 0.5 (>= 0.5 means fake). A video's
 verdict is the label carried by the strict majority of its frames; ties go
 to fake, the security-conservative default. Confusion matrices are 2x2
 with rows = ground truth (original, fake) and columns = detected, reported
-both as counts and as row-normalized rates.
+both as counts and as row-normalized rates. The probability histogram
+counts frames in HISTOGRAM_BINS equal bins of [0, 1]: bin i covers
+[i/bins, (i+1)/bins), and the last bin is closed, so 1.0 is counted.
 """
 
 from __future__ import annotations
@@ -63,16 +65,9 @@ def classify_batch(probabilities: np.ndarray) -> np.ndarray:
 
 
 def _confusion(truths: np.ndarray, predicted: np.ndarray) -> ConfusionMatrix:
-    counts = np.zeros((2, 2), dtype=np.int64)
-    for t in (0, 1):
-        mask = truths == t
-        counts[t, 0] = int(np.sum(predicted[mask] == 0))
-        counts[t, 1] = int(np.sum(predicted[mask] == 1))
-    rates = np.zeros((2, 2), dtype=np.float64)
-    for t in (0, 1):
-        row_total = counts[t].sum()
-        if row_total > 0:
-            rates[t] = counts[t] / row_total
+    counts = np.bincount(2 * truths + predicted, minlength=4).reshape(2, 2)
+    totals = counts.sum(axis=1, keepdims=True)
+    rates = np.divide(counts, totals, out=np.zeros((2, 2)), where=totals > 0)
     return ConfusionMatrix(counts=counts, rates=rates)
 
 
@@ -138,21 +133,13 @@ def video_metrics(
 
 
 def probability_histogram(records: list[PredictionRecord]) -> np.ndarray:
-    """Counts over HISTOGRAM_BINS equal bins of [0,1]; bin i covers
-    [i/bins, (i+1)/bins), with the final bin closed so 1.0 is counted."""
-    bins = HISTOGRAM_BINS
-    counts = np.zeros(bins, dtype=np.int64)
-    if not records:
-        return counts
+    """Counts over the HISTOGRAM_BINS bins of [0,1] (see the module doc)."""
     probs = np.array([r.probability for r in records], dtype=np.float64)
     # Negated, as in classify_batch, so that a NaN is rejected too.
-    if not (probs.min() >= 0.0 and probs.max() <= 1.0):
+    if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):
         raise ContractError("probabilities out of [0,1]")
-    edges = np.arange(bins + 1, dtype=np.float64) / bins
-    idx = np.searchsorted(edges, probs, side="right") - 1
-    idx = np.minimum(idx, bins - 1)  # 1.0 lands in the final bin
-    np.add.at(counts, idx, 1)
-    return counts
+    # Edges, not bins=10: numpy's arithmetic uniform binning misplaces some i/10.
+    return np.histogram(probs, np.arange(HISTOGRAM_BINS + 1) / HISTOGRAM_BINS)[0]
 
 
 def predict_manifest(
@@ -190,6 +177,7 @@ def read_predictions(path) -> list[PredictionRecord]:
     text = Path(path).read_text(encoding="utf-8")
     records: list[PredictionRecord] = []
     seen: set[tuple[str, int]] = set()
+    video_truths: dict[str, int] = {}
     for line_no, row in data_mod.read_csv(text, PREDICTIONS_HEADER, "empty prediction log"):
         try:
             frame_index = int(row[1])
@@ -208,6 +196,12 @@ def read_predictions(path) -> list[PredictionRecord]:
             raise ManifestError(f"line {line_no}: truth must be 0 or 1, got {truth}")
         if not 0.0 <= probability <= 1.0:
             raise ManifestError(f"line {line_no}: probability out of [0,1]")
+        first = video_truths.setdefault(row[0], truth)
+        if first != truth:
+            raise ManifestError(
+                f"line {line_no}: video {row[0]!r} has truth {first} on its "
+                f"earlier rows, this row has {truth}"
+            )
         records.append(PredictionRecord(row[0], frame_index, truth, probability))
     return records
 

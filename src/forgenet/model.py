@@ -14,7 +14,8 @@ BN runs only in training, where a forward keeps each block's input and
 normalised values for backward. In training each conv output, BN output
 and upstream gradient is a fresh array that only these passes hold, so BN
 and ReLU work in them (see `layers`); backward pops each block from its
-cache.
+cache. `flatten` and `unflatten`, here, reshape the last block's output
+for the dense head; `layers.require_rank` checks ranks.
 
 An inference forward folds each BN into its conv and writes the block
 outputs into two ping-pong buffers that the `Network` keeps, with the
@@ -52,7 +53,6 @@ import numpy as np
 from . import layers as L
 from .data import write_atomic
 from .errors import ConfigError, ContractError, ShapeError, WeightsFormatError
-from .tensor import flatten, require_rank, unflatten
 
 MAGIC = b"FGN1"
 IN_CHANNELS = 3
@@ -196,6 +196,19 @@ def input_buffer(net: Network, n: int) -> np.ndarray:
     return _buffer(net, "batch", (n, IN_CHANNELS, cfg.height, cfg.width), np.float32)
 
 
+def flatten(x: np.ndarray) -> np.ndarray:
+    """(n, c, h, w) -> (n, c*h*w), preserving row-major (c, h, w) order."""
+    L.require_rank(x, 4, "flatten input")
+    return x.reshape(len(x), -1)
+
+
+def unflatten(x2: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of flatten: (n, c*h*w) -> (n, c, h, w)."""
+    if len(shape) != 4 or x2.shape != (shape[0], math.prod(shape[1:])):
+        raise ShapeError(f"unflatten: {x2.shape} incompatible with target shape {shape}")
+    return x2.reshape(shape)
+
+
 @dataclass
 class ForwardCache:
     """What backward reads of a training forward. `activations` holds the
@@ -220,7 +233,7 @@ def forward(
     the cache. Neither writes `x` or a state tensor, and the probabilities
     are a new array.
     """
-    require_rank(x, 4, "network input")
+    L.require_rank(x, 4, "network input")
     cfg = net.config
     expected = (IN_CHANNELS, cfg.height, cfg.width)
     if x.shape[1:] != expected:

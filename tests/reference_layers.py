@@ -26,8 +26,8 @@ from forgenet.layers import (
     BatchNormCache,
     BatchNormLayer,
     ConvLayer,
+    require_rank,
 )
-from forgenet.tensor import require_rank
 
 
 def _im2col(x: np.ndarray) -> np.ndarray:

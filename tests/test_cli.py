@@ -272,13 +272,13 @@ class TestEval:
         assert captured.out == ""
         assert "no predictions for video 'nope'" in captured.err
 
-    # Logs that `eval` refuses only after reading them: a video whose frames
-    # carry two labels (video_metrics refuses it), and a frame listed twice
-    # (read_predictions refuses it; counted twice, v would tally 1 original
-    # and 2 fake).
+    # Logs that `eval` refuses, at either level, only after reading them;
+    # read_predictions names the line. A video whose frames carry two
+    # labels, and a frame listed twice (counted twice, v would tally 1
+    # original and 2 fake).
     REFUSED_LOGS = {
-        "two-labels": "v,0,1,0.9\nv,1,0,0.1\n",
-        "repeated-frame": "v,0,1,0.9\nv,1,1,0.2\nv,0,1,0.9\n",
+        "two-labels": ("v,0,1,0.9\nv,1,0,0.1\n", "line 3: video 'v'"),
+        "repeated-frame": ("v,0,1,0.9\nv,1,1,0.2\nv,0,1,0.9\n", "line 4: duplicate"),
     }
 
     @pytest.mark.parametrize("earlier_run", [False, True], ids=["fresh", "earlier"])
@@ -297,14 +297,18 @@ class TestEval:
         before = {p.name: p.read_bytes() for p in out.iterdir()} if earlier_run else {}
         capsys.readouterr()
         log = tmp_path / "log.csv"
-        log.write_text("video_id,frame_index,truth,probability\n" + self.REFUSED_LOGS[case])
-        code = cli.main([
-            "eval", "--predictions", str(log), "--level", "video",
-            "--histogram", "v", "--out", str(out),
-        ])
-        assert code == 1
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-        assert capsys.readouterr().out == ""
+        rows, message = self.REFUSED_LOGS[case]
+        log.write_text("video_id,frame_index,truth,probability\n" + rows)
+        for level in ("frame", "video"):
+            code = cli.main([
+                "eval", "--predictions", str(log), "--level", level,
+                "--histogram", "v", "--out", str(out),
+            ])
+            assert code == 1
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
 
     def test_predictions_and_weights_conflict(self, tmp_path):
         code = cli.main([

@@ -332,6 +332,12 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigError):
             data.generate_synthetic(2, 2, 7, seed=0, destination=tmp_path)
 
+    def test_bad_split_writes_nothing(self, tmp_path):
+        destination = tmp_path / "d"
+        with pytest.raises(ConfigError, match="split"):
+            data.generate_synthetic(2, 2, 8, 0, destination, split="holdout")
+        assert not destination.exists()
+
     def test_classes_share_pixel_value_multiset(self):
         fake = data._checker(8, cell=1)
         original = data._checker(8, cell=2)

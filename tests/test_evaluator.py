@@ -232,6 +232,19 @@ class TestProbabilityHistogram:
         records = [rec("v", 0, 0, 0.1), rec("v", 1, 0, 0.2)]
         counts = evaluator.probability_histogram(records)
         assert counts[1] == 1 and counts[2] == 1
+        # Every edge i/10 and both float neighbours of it, against a plain
+        # count: bin i holds i/10 <= p < (i+1)/10, the last one also 1.0.
+        probs = [
+            float(p)
+            for e in np.arange(11) / 10
+            for p in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))
+            if 0.0 <= p <= 1.0
+        ]
+        expected = [0] * 10
+        for p in probs:
+            expected[max(i for i in range(10) if i / 10 <= p)] += 1
+        records = [rec("v", i, 0, p) for i, p in enumerate(probs)]
+        assert evaluator.probability_histogram(records).tolist() == expected
 
     @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
     def test_out_of_range_rejected(self, bad):
@@ -346,6 +359,15 @@ class TestPredictionLogIO:
         )
         with pytest.raises(
             ManifestError, match=r"line 4: duplicate \(video_id, frame_index\) \('v', 0\)"
+        ):
+            evaluator.read_predictions(path)
+
+    def test_two_truths_in_a_video_name_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("video_id,frame_index,truth,probability\nv,0,1,0.9\nv,1,0,0.1\n")
+        with pytest.raises(
+            ManifestError, match="line 3: video 'v' has truth 1 on its earlier rows, "
+            "this row has 0"
         ):
             evaluator.read_predictions(path)
 

@@ -46,6 +46,16 @@ def conv_loop_oracle(x, weights, bias):
     return out
 
 
+class TestRequire:
+    def test_require_rank_passes(self):
+        x = np.zeros((1, 2, 3, 4), dtype=np.float32)
+        assert layers.require_rank(x, 4) is x
+
+    def test_require_rank_rejects(self):
+        with pytest.raises(ShapeError):
+            layers.require_rank(np.zeros((2, 2), dtype=np.float32), 4)
+
+
 class TestConvForward:
     def test_zero_input_zero_bias(self, rng):
         layer = make_conv(rng, 4, 3, dtype=np.float32)

@@ -21,7 +21,6 @@ from forgenet.errors import (
 )
 from forgenet.layers import bce_loss
 from forgenet.optim import AdamState, adam_step
-from forgenet.tensor import flatten
 
 SMALL = model.NetworkConfig(conv_layers=2, filters=2, height=12, width=12, seed=9)
 
@@ -109,6 +108,42 @@ class TestBuild:
         stored = sum(t.size for t in net.state_tensors().values())
         # 2 moving vectors and 1 conv bias per layer, each 2 filters long
         assert stored - trainable == 3 * SMALL.filters * SMALL.conv_layers
+
+
+class TestFlatten:
+    def test_shape_and_order(self):
+        x = np.arange(72, dtype=np.float32).reshape(2, 4, 3, 3)
+        flat = model.flatten(x)
+        assert flat.shape == (2, 36)
+        # row-major (c,h,w) order within a sample
+        assert flat[0, 0] == x[0, 0, 0, 0]
+        assert flat[0, 9] == x[0, 1, 0, 0]
+        assert flat[1, 35] == x[1, 3, 2, 2]
+
+    def test_single_value(self):
+        x = np.full((1, 1, 1, 1), 5.0, dtype=np.float32)
+        assert model.flatten(x).tolist() == [[5.0]]
+
+    @given(
+        n=st.integers(1, 3),
+        c=st.integers(1, 4),
+        h=st.integers(1, 5),
+        w=st.integers(1, 5),
+        seed=st.integers(0, 2**31),
+    )
+    def test_unflatten_roundtrip(self, n, c, h, w, seed):
+        x = (
+            np.random.default_rng(seed)
+            .normal(size=(n, c, h, w))
+            .astype(np.float32)
+        )
+        back = model.unflatten(model.flatten(x), x.shape)
+        assert back.shape == x.shape
+        assert np.array_equal(back, x)
+
+    def test_unflatten_wrong_count(self):
+        with pytest.raises(ShapeError):
+            model.unflatten(np.zeros((2, 9), dtype=np.float32), (2, 1, 2, 2))
 
 
 class TestForward:
@@ -489,7 +524,7 @@ class TestFoldedInference:
                 reference_layers.conv2d_forward(h, conv), bn, training=False
             )
             h = layers.relu_forward(h)
-        return layers.sigmoid(layers.dense_forward(flatten(h), net.dense))
+        return layers.sigmoid(layers.dense_forward(model.flatten(h), net.dense))
 
     @pytest.mark.parametrize("batch,side", TestAgainstReferenceConv.SHAPES)
     def test_matches_unfolded_in_inference_state(self, rng, monkeypatch, batch, side):
