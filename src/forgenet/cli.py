@@ -1,11 +1,12 @@
 """Command-line front end: gen-synth, train, eval, ablate.
 
-Every run writes its outputs under --out with fixed file names and drops a
-run.json record (command, resolved config, seed (null for eval), timestamps,
-version, output paths) next to them; a run replaces the run.json of an earlier
-run into the same --out. Exit codes: 0 success, 1 runtime failure,
-2 usage or config error. The FORGENET_LOG environment variable sets log
-verbosity (DEBUG, INFO, WARNING, ...).
+Every run writes its outputs under --out with fixed file names. When the
+command returns, `main` writes a run.json record next to them: command,
+resolved config, seed (null for eval), timestamps, version and `outputs`, every
+file the run wrote (train's checkpoints included; gen-synth's manifest.csv
+names its frames). It replaces the run.json of an earlier run into the same
+--out. Exit codes: 0 success, 1 runtime failure, 2 usage or config error. The
+FORGENET_LOG environment variable sets log verbosity (DEBUG, INFO, WARNING, ...).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from . import ablation as ablation_mod
@@ -37,8 +39,6 @@ METRICS_NAME = "metrics.csv"
 PREDICTIONS_NAME = "predictions.csv"
 VIDEO_VERDICTS_NAME = "videos.csv"
 METRICS_JSONL_NAME = "metrics.jsonl"
-
-logger = logging.getLogger("forgenet.cli")
 
 AXIS_BY_FLAG = {"layers": "layers", "batch": "batch_size", "filters": "filters"}
 
@@ -60,25 +60,13 @@ def _prepare_out(path_str: str) -> Path:
     return out
 
 
-def _write_run_manifest(
-    out: Path,
-    command: str,
-    config: dict,
-    seed: int | None,
-    started: str,
-    outputs: list[Path],
-) -> None:
-    payload = {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "started": started,
-        "finished": _now(),
-        "version": f"forgenet-{__version__}",
-        "outputs": [str(p) for p in outputs],
-    }
-    text = json.dumps(payload, indent=2) + "\n"
-    data_mod.write_atomic(out / RUN_MANIFEST_NAME, text.encode("utf-8"))
+class Run(NamedTuple):
+    """What a command did: the parts of run.json that `main` cannot know."""
+
+    out: Path
+    config: dict
+    seed: int | None
+    outputs: list[Path]
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -93,9 +81,8 @@ def _csv_ints(text: str) -> tuple[int, ...]:
     return values
 
 
-def cmd_gen_synth(args: argparse.Namespace) -> int:
-    started = _now()
-    data_mod.check_synthetic(args.videos, args.frames, args.size)
+def cmd_gen_synth(args: argparse.Namespace) -> Run:
+    data_mod.check_synthetic(args.videos, args.frames, args.size, args.seed)
     out = _prepare_out(args.out)
     manifest = data_mod.generate_synthetic(
         args.videos, args.frames, args.size, args.seed, out
@@ -113,10 +100,7 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
         "frames": args.frames,
         "size": args.size,
     }
-    _write_run_manifest(
-        out, "gen-synth", config, args.seed, started, [out / data_mod.MANIFEST_NAME]
-    )
-    return EXIT_OK
+    return Run(out, config, args.seed, [out / data_mod.MANIFEST_NAME])
 
 
 def _configs(
@@ -141,12 +125,11 @@ def _configs(
     return net_config, train_config
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    started = _now()
+def cmd_train(args: argparse.Namespace) -> Run | None:
     net_config, train_config = _configs(args)
     if args.print_params:
         print(model_mod.count_parameters(net_config))
-        return EXIT_OK
+        return None
     if not (args.manifest and args.val_manifest and args.out):
         raise ConfigError("train requires --manifest, --val-manifest and --out")
     out = _prepare_out(args.out)
@@ -177,10 +160,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         "training": dataclasses.asdict(train_config),
         "stop_reason": stop_reason,
     }
-    _write_run_manifest(
-        out, "train", config, args.seed, started, [weights_path, metrics_path]
-    )
-    return EXIT_OK
+    # One per epoch run; a glob of --out would also find an earlier run's.
+    checkpoints = [out / f"checkpoint.epoch{r.epoch}" for r in records if args.checkpoints]
+    return Run(out, config, args.seed, [weights_path, metrics_path, *checkpoints])
 
 
 def _eval_records(args: argparse.Namespace) -> list[eval_mod.PredictionRecord]:
@@ -192,8 +174,7 @@ def _eval_records(args: argparse.Namespace) -> list[eval_mod.PredictionRecord]:
     return eval_mod.predict_manifest(net, manifest, args.batch, args.threads)
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    started = _now()
+def cmd_eval(args: argparse.Namespace) -> Run:
     if args.predictions and (args.weights or args.manifest):
         raise ConfigError("eval takes --predictions or --weights and --manifest, not both")
     if not (args.predictions or (args.weights and args.manifest)):
@@ -271,12 +252,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "histogram": args.histogram,
     }
     # inference is deterministic, so eval records no seed
-    _write_run_manifest(out, "eval", config, None, started, outputs)
-    return EXIT_OK
+    return Run(out, config, None, outputs)
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
-    started = _now()
+def cmd_ablate(args: argparse.Namespace) -> Run:
     axis = AXIS_BY_FLAG[args.axis]
     base_net, base_train = _configs(args)
     spec = ablation_mod.AblationSpec(
@@ -301,8 +280,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         "network": dataclasses.asdict(base_net),
         "training": dataclasses.asdict(base_train),
     }
-    _write_run_manifest(out, "ablate", config, args.seed, started, [csv_path])
-    return EXIT_OK
+    return Run(out, config, args.seed, [csv_path])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,8 +365,22 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
+    started = _now()
     try:
-        return args.func(args)
+        run = args.func(args)
+        if run is not None:
+            payload = {
+                "command": args.command,
+                "config": run.config,
+                "seed": run.seed,
+                "started": started,
+                "finished": _now(),
+                "version": f"forgenet-{__version__}",
+                "outputs": [str(p) for p in run.outputs],
+            }
+            text = json.dumps(payload, indent=2) + "\n"
+            data_mod.write_atomic(run.out / RUN_MANIFEST_NAME, text.encode("utf-8"))
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

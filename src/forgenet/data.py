@@ -353,7 +353,7 @@ def _checker(patch: int, cell: int) -> np.ndarray:
     return (grid * 2.0 - 1.0).astype(np.float32) * PATCH_AMPLITUDE
 
 
-def check_synthetic(count_videos: int, frames_per_video: int, size: int) -> None:
+def check_synthetic(count_videos: int, frames_per_video: int, size: int, seed: int) -> None:
     """ConfigError for the arguments `generate_synthetic` refuses."""
     if count_videos < 2 or count_videos % 2 != 0:
         raise ConfigError(f"count_videos must be even and >= 2, got {count_videos}")
@@ -361,6 +361,8 @@ def check_synthetic(count_videos: int, frames_per_video: int, size: int) -> None
         raise ConfigError(f"frames_per_video must be >= 1, got {frames_per_video}")
     if size < 8:
         raise ConfigError(f"size must be >= 8, got {size}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def generate_synthetic(
@@ -383,7 +385,7 @@ def generate_synthetic(
     byte-deterministic under a fixed seed. Returns `read_manifest` of the
     manifest written, whose rows keep their paths relative to `destination`.
     """
-    check_synthetic(count_videos, frames_per_video, size)
+    check_synthetic(count_videos, frames_per_video, size, seed)
     manifest = DatasetManifest(rows=[], split=split)  # checks split before any write
     dest = Path(destination)
     dest.mkdir(parents=True, exist_ok=True)

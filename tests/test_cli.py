@@ -511,9 +511,10 @@ class TestAblate:
     ["eval", "--predictions", "p", "--manifest", "m"],
     ["eval"],
     ["gen-synth", "--videos", "3", "--frames", "1"],
+    ["gen-synth", "--videos", "2", "--frames", "1", "--seed", "-1"],
 ], ids=["ablate-lr-nan", "ablate-descending", "ablate-zero-layers",
         "eval-both-sources", "eval-log-and-manifest",
-        "eval-no-source", "gen-synth-odd-videos"])
+        "eval-no-source", "gen-synth-odd-videos", "gen-synth-negative-seed"])
 def test_usage_error_comes_before_out(tmp_path, argv):
     # The manifests, weights and log named do not exist: reading any would exit 1.
     if argv[0] == "ablate":
@@ -521,6 +522,34 @@ def test_usage_error_comes_before_out(tmp_path, argv):
     out = tmp_path / "o"
     assert cli.main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["gen-synth", "train", "eval-frame", "eval-video", "ablate"]
+)
+def test_run_lists_every_file_it_wrote(cli_run, tmp_path, command):
+    root, train_out = cli_run
+    train, val, test = (str(root / s / "manifest.csv") for s in ("train", "val", "test"))
+    evaluate = ["eval", "--weights", str(train_out / "weights.fgn"), "--manifest", test,
+                "--histogram", "vid0001", "--level"]
+    argv = {
+        "gen-synth": ["gen-synth", "--videos", "2", "--frames", "2", "--size", "12"],
+        "eval-frame": [*evaluate, "frame"],
+        "eval-video": [*evaluate, "video"],
+        "ablate": ["ablate", "--axis", "layers", "--values", "1", "--epochs", "1",
+                   "--filters", "2", "--size", "24", "--batch", "16",
+                   "--manifest", train, "--val-manifest", val, "--test-manifest", test],
+    }
+    out = tmp_path / "o"
+    if command == "train":  # cli_run is train --checkpoints, for 2 epochs
+        out = train_out
+    else:
+        assert cli.main([*argv[command], "--out", str(out)]) == 0
+    listed = json.loads((out / "run.json").read_text())["outputs"]
+    if command == "gen-synth":  # manifest.csv lists the frames
+        listed += [r.path for r in data.read_manifest(out / "manifest.csv").rows]
+    written = [str(p) for p in out.rglob("*") if p.is_file() and p.name != "run.json"]
+    assert sorted(listed) == sorted(written)
 
 
 class TestTopLevel:
