@@ -78,6 +78,23 @@ def write_csv(path, header: list[str], rows: Iterable[Sequence]) -> None:
     write_atomic(path, text.getvalue().encode("utf-8"))
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file at `path`. A file that is not UTF-8 raises
+    ManifestError naming it and the 1-based line of its first bad byte."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        # The text layer's error need not give a file offset, so the bytes
+        # are decoded whole to place the bad byte.
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ManifestError(f"{path}: line {line}: not UTF-8 text") from None
+        raise  # the file changed between the two reads
+
+
 def read_csv(source: str, header: list[str], empty: str) -> Iterator[tuple[int, list[str]]]:
     """Yield (line_no, record) for each non-blank record of CSV text.
 
@@ -142,7 +159,7 @@ def parse_manifest(source: str, split: str = "train", directory: str = "") -> Da
 def read_manifest(path, split: str = "train") -> DatasetManifest:
     """Parse a manifest file; relative row paths are joined to its directory."""
     path = Path(path)
-    return parse_manifest(path.read_text(encoding="utf-8"), split, os.path.dirname(path))
+    return parse_manifest(read_text(path), split, os.path.dirname(path))
 
 
 def write_manifest(manifest: DatasetManifest, path) -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -174,7 +173,7 @@ def write_predictions(records: list[PredictionRecord], path) -> None:
 
 
 def read_predictions(path) -> list[PredictionRecord]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = data_mod.read_text(path)
     records: list[PredictionRecord] = []
     seen: set[tuple[str, int]] = set()
     video_truths: dict[str, int] = {}

@@ -26,8 +26,12 @@ backward return d_input, then the gradients training applies; conv has no
 bias gradient.
 
 BN and ReLU overwrite arrays that only the model holds: `batchnorm_forward`
-turns its input into `xhat`, `relu_forward` clamps its input, and both
-backwards write d_input into their upstream (BN's also overwrites `xhat`).
+centres its input in place and keeps it as `centred`, `relu_forward` clamps
+its input, and both backwards write d_input into their upstream (BN's also
+overwrites `centred`). Conv forward and BN forward write their output, and
+conv and dense backward their d_input, into `out` when given: a C-contiguous
+array of that result's shape and dtype that overlaps no input but dense
+backward's `x`.
 """
 
 from __future__ import annotations
@@ -86,10 +90,24 @@ class DenseLayer:
 
 @dataclass
 class BatchNormCache:
-    xhat: np.ndarray
+    centred: np.ndarray  # the input less its channel means
     mean: np.ndarray
     var: np.ndarray
     inv_std: np.ndarray
+
+
+def _output(
+    out: np.ndarray | None, shape: tuple[int, ...], dtype, what: str
+) -> np.ndarray:
+    """`out`, checked to be a C-contiguous `shape` array of `dtype`, or a
+    new such array when it is None."""
+    if out is None:
+        return np.empty(shape, dtype)
+    if out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ShapeError(
+            f"{what} must be C-contiguous {shape} {dtype}, got {out.shape} {out.dtype}"
+        )
+    return out
 
 
 def require_rank(x: np.ndarray, rank: int, what: str = "tensor") -> np.ndarray:
@@ -184,8 +202,7 @@ def conv2d_forward(
 
     One GEMM per band of patches (`_patches`), written straight into the
     band's rows of the C-contiguous (n, k, ho, wo) out, and the bias is
-    added to them while they are in cache. `out`, when given, must be such
-    an array of the result's dtype; it is returned.
+    added to them while they are in cache; returns `out`.
     """
     require_rank(x, 4, "conv input")
     n, c, h, w = x.shape
@@ -198,14 +215,7 @@ def conv2d_forward(
     k = layer.filters
     wmat = layer.weights.reshape(k, -1)
     ho, wo = h - KERNEL + 1, w - KERNEL + 1
-    shape, dtype = (n, k, ho, wo), np.result_type(wmat, x)
-    if out is None:
-        out = np.empty(shape, dtype)
-    elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
-        raise ShapeError(
-            f"conv output must be C-contiguous {shape} {dtype}, got "
-            f"{out.shape} {out.dtype}"
-        )
+    out = _output(out, (n, k, ho, wo), np.result_type(wmat, x), "conv output")
     out_rows = out.reshape(n, k, ho * wo)  # a view: out is C-contiguous
     bias = layer.bias.reshape(k, 1)
     for i, rows, cols in _patches(x):
@@ -216,7 +226,11 @@ def conv2d_forward(
 
 
 def conv2d_backward(
-    x: np.ndarray, layer: ConvLayer, upstream: np.ndarray, input_grad: bool = True
+    x: np.ndarray,
+    layer: ConvLayer,
+    upstream: np.ndarray,
+    input_grad: bool = True,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """(d_input, d_weights) of conv2d_forward under sum(upstream * output).
 
@@ -234,6 +248,7 @@ def conv2d_backward(
     Visin 2016, arXiv 1603.07285, sec. 4). d_weights sums the band's rows
     of x, read in place, times P^T, a (c, k*9) matrix flipped back, since
     sum_{i,y,x} x(i,c,y,x) * pad(up)(i,f,y+ey,x+ex) = d_w(f,c,2-ey,2-ex).
+    d_input goes into `out` when given.
 
     With `input_grad=False` (the first block, whose input is the image)
     d_input is None and no upstream patch is built: d_weights sums the
@@ -258,7 +273,7 @@ def conv2d_backward(
         return None, d_weights.reshape(layer.weights.shape)
 
     flipped = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-    d_input = np.empty(x.shape, x.dtype)
+    d_input = _output(out, x.shape, x.dtype, "conv input gradient")
     d_rows = d_input.reshape(n, c, h * w)  # a view: d_input is C-contiguous
     d_flipped = np.zeros((c, k * KERNEL * KERNEL), dtype)
     for i, rows, cols in _patches(upstream, pad=True):
@@ -270,12 +285,14 @@ def conv2d_backward(
 
 
 def batchnorm_forward(
-    x: np.ndarray, layer: BatchNormLayer
+    x: np.ndarray, layer: BatchNormLayer, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, BatchNormCache]:
     """Per-channel standardization over (n, h, w) with batch statistics
-    (biased variance), then affine gamma/beta. Writes no layer tensor;
-    returns the backward cache, whose `xhat` is `x` and whose `mean` and
-    `var` are the batch statistics."""
+    (biased variance), then affine gamma/beta, written as centred * (gamma *
+    inv_std) + beta into `out` (a new array when None). Writes no layer
+    tensor; returns `out` and the backward cache, whose `centred` is `x`
+    less its channel means, in place, and whose `mean` and `var` are the
+    batch statistics."""
     require_rank(x, 4, "batchnorm input")
     n, c, h, w = x.shape
     if c != layer.channels:
@@ -284,14 +301,14 @@ def batchnorm_forward(
         raise DegenerateBatchError(
             f"batchnorm training mode needs >= 2 samples per channel, got {n * h * w}"
         )
+    out = _output(out, x.shape, x.dtype, "batchnorm output")
     mean = x.mean(axis=(0, 2, 3))
     x -= mean.reshape(1, c, 1, 1)
     var = np.einsum("nchw,nchw->c", x, x) / (n * h * w)
     inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-    x *= inv_std.reshape(1, c, 1, 1)
-    out = x * layer.gamma.reshape(1, c, 1, 1)
+    np.multiply(x, (layer.gamma * inv_std).reshape(1, c, 1, 1), out=out)
     out += layer.beta.reshape(1, c, 1, 1)
-    return out, BatchNormCache(xhat=x, mean=mean, var=var, inv_std=inv_std)
+    return out, BatchNormCache(centred=x, mean=mean, var=var, inv_std=inv_std)
 
 
 def batchnorm_backward(
@@ -299,25 +316,29 @@ def batchnorm_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(d_input, d_gamma, d_beta); d_input has the mean/variance terms:
     d_input = gamma * inv_std / m * (m * upstream - d_beta - xhat * d_gamma)
-    over m = n*h*w values per channel (Ioffe & Szegedy 2015, arXiv
-    1502.03167, section 3), built in `upstream`; consumes `cache.xhat`.
-    BN_EPSILON > 0 keeps it exact on a constant channel, where xhat = 0 and
-    d_input = gamma * inv_std * (upstream - mean upstream)."""
+    over m = n*h*w values per channel, with xhat = centred * inv_std (Ioffe
+    & Szegedy 2015, arXiv 1502.03167, section 3). It is built in `upstream`
+    as a * upstream - b - c * centred with per-channel a = gamma * inv_std,
+    b = a * d_beta / m and c = a * inv_std * d_gamma / m; consumes
+    `cache.centred`. BN_EPSILON > 0 keeps it exact on a constant channel,
+    where centred = 0 and d_input = gamma * inv_std * (upstream - mean
+    upstream)."""
     require_rank(upstream, 4, "batchnorm upstream")
-    if upstream.shape != cache.xhat.shape:
+    centred = cache.centred
+    if upstream.shape != centred.shape:
         raise ShapeError(
-            f"batchnorm upstream shape {upstream.shape} != {cache.xhat.shape}"
+            f"batchnorm upstream shape {upstream.shape} != {centred.shape}"
         )
     c = layer.channels
     count = upstream.size // c
-    d_gamma = (upstream * cache.xhat).sum(axis=(0, 2, 3), keepdims=True)
-    d_beta = upstream.sum(axis=(0, 2, 3), keepdims=True)
-    upstream *= count
-    upstream -= d_beta
-    cache.xhat *= d_gamma
-    upstream -= cache.xhat
-    upstream *= (layer.gamma * cache.inv_std / count).reshape(1, c, 1, 1)
-    return upstream, d_gamma.reshape(c), d_beta.reshape(c)
+    d_beta = upstream.sum(axis=(0, 2, 3))
+    d_gamma = cache.inv_std * np.einsum("nchw,nchw->c", upstream, centred)
+    a = layer.gamma * cache.inv_std
+    upstream *= a.reshape(1, c, 1, 1)
+    upstream -= (a * d_beta / count).reshape(1, c, 1, 1)
+    centred *= (a * cache.inv_std * d_gamma / count).reshape(1, c, 1, 1)
+    upstream -= centred
+    return upstream, d_gamma, d_beta
 
 
 def batchnorm_fold(conv: ConvLayer, bn: BatchNormLayer) -> ConvLayer:
@@ -335,12 +356,15 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Subgradient 0 at exactly 0. `x` may be the ReLU's input or its
-    output: both are positive at exactly the same elements. Masks
-    `upstream` in place."""
+    """Subgradient 0 at exactly 0. `x` may be the ReLU's input, its
+    output, or the mask `x > 0` of either: the input and output are
+    positive at exactly the same elements. Masks `upstream` in place."""
     if x.shape != upstream.shape:
         raise ShapeError(f"relu upstream shape {upstream.shape} != input {x.shape}")
-    return np.multiply(upstream, x > 0, out=upstream)
+    # Comparing a boolean array with 0 costs more than the multiply it
+    # feeds, so a mask is used as given.
+    mask = x if x.dtype == np.bool_ else x > 0
+    return np.multiply(upstream, mask, out=upstream)
 
 
 def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
@@ -354,9 +378,13 @@ def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
 
 
 def dense_backward(
-    x: np.ndarray, layer: DenseLayer, d_logits: np.ndarray
+    x: np.ndarray,
+    layer: DenseLayer,
+    d_logits: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d_input, d_weights, d_bias) under sum(d_logits * logits)."""
+    """(d_input, d_weights, d_bias) under sum(d_logits * logits). d_input
+    goes into `out` when given, which may be `x`: x is read first."""
     require_rank(x, 2, "dense input")
     if d_logits.shape != (x.shape[0],):
         raise ShapeError(
@@ -364,7 +392,9 @@ def dense_backward(
         )
     d_weights = (x.T @ d_logits).reshape(layer.weights.shape)
     d_bias = np.array([d_logits.sum()], dtype=d_logits.dtype)
-    return np.outer(d_logits, layer.weights[:, 0]), d_weights, d_bias
+    dtype = np.result_type(d_logits, layer.weights)
+    out = _output(out, x.shape, dtype, "dense input gradient")
+    return np.outer(d_logits, layer.weights[:, 0], out=out), d_weights, d_bias
 
 
 def sigmoid(logits: np.ndarray) -> np.ndarray:

@@ -10,22 +10,32 @@ conv biases: each conv feeds a training-mode BN that subtracts the
 channel's batch mean, so a conv bias has no gradient, and backward
 computes none. It is stored, and inference folds it in, but never updated.
 
-BN runs only in training, where a forward keeps each block's input and
-normalised values for backward. In training each conv output, BN output
-and upstream gradient is a fresh array that only these passes hold, so BN
-and ReLU work in them (see `layers`); backward pops each block from its
-cache. `flatten` and `unflatten`, here, reshape the last block's output
-for the dense head; `layers.require_rank` checks ranks.
+BN runs only in training. Both passes work in one workspace that the
+`Network` keeps for its life, `Network.buffers`: the decoded batch
+(`input_buffer`), and for each block i its conv output `conv{i}` and its
+ReLU output `act{i}`. Each is a flat array grown to the largest batch it has
+served and viewed at the front for smaller ones, so repeat steps and
+requests reuse memory the process holds, where fresh arrays would be trimmed
+from the heap after each and faulted back in by the next.
+- A training forward writes block i's conv output into `conv{i}`, where BN
+  centres it in place and keeps it for backward, and BN's output into
+  `act{i}`, where ReLU clamps it (see `layers`).
+- Backward writes each gradient into memory whose forward contents are
+  dead: the dense input gradient into the last ReLU output, once its ReLU
+  mask and the dense weight gradient are read, and conv i's input gradient
+  into `conv{i}`, once BN i's backward has consumed the centred values.
+  Past block 0, `conv{i}` is sized for conv i's input so that it can hold it.
+- An inference forward folds each BN into its conv and writes the block
+  outputs into `act0` and `act1` in turn.
 
-An inference forward folds each BN into its conv and writes the block
-outputs into two ping-pong buffers that the `Network` keeps, with the
-decoded batch `evaluator.predict_manifest` fills (`input_buffer`), for the
-life of the net. Repeat requests so reuse memory the process holds, where
-fresh arrays would be trimmed from the heap after each request and faulted
-back in by the next. The buffers are not state: `state_tensors()`, the
-weights file and `==` leave them out, and a training forward releases
-them. So one `Network` serves one inference at a time. Neither pass
-writes the image batch it is given.
+So every forward overwrites what the previous forward's cache views. Each
+forward bumps `Network.generation`, and backward refuses a cache of an
+earlier generation, as it refuses a cache it has already consumed: one
+`Network` serves one pass at a time. The workspace and the generation are
+not state: `state_tensors()`, the weights file and `==` leave them out.
+Neither pass writes the image batch it is given, and probabilities and
+gradients are new arrays. `flatten` and `unflatten`, here, reshape the last
+block's output for the dense head; `layers.require_rank` checks ranks.
 
 Weights file format (all integers little-endian u32, floats little-endian
 float32, no padding):
@@ -101,12 +111,12 @@ class Network:
     convs: list[L.ConvLayer]
     bns: list[L.BatchNormLayer]
     dense: L.DenseLayer
-    # Inference's working set by name, flat arrays viewed at the front (see
-    # `_buffer`): "batch", the decoded frames, and "block0" and "block1",
-    # the ping-pong block outputs.
+    # The workspace by name, flat arrays viewed at the front (see `_buffer`):
+    # "batch", the decoded frames, and per block i "conv{i}" and "act{i}".
     buffers: dict[str, np.ndarray] = field(
         default_factory=dict, repr=False, compare=False
     )
+    generation: int = field(default=0, repr=False, compare=False)  # forwards run
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         """Every stored tensor in the weights-file schema order."""
@@ -177,21 +187,22 @@ def build(config: NetworkConfig) -> Network:
     return Network(config=config, convs=convs, bns=bns, dense=dense)
 
 
-def _buffer(net: Network, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+def _buffer(
+    net: Network, name: str, shape: tuple[int, ...], dtype, reserve: int = 0
+) -> np.ndarray:
     """A C-contiguous `shape` view of the front of `net.buffers[name]`,
-    which is first replaced by a new flat array if it is missing, smaller or
-    of another dtype."""
+    which is first replaced by a new flat array if it is missing, of another
+    dtype, or smaller than `shape` or `reserve` elements."""
     size = math.prod(shape)
     flat = net.buffers.get(name)
-    if flat is None or flat.size < size or flat.dtype != dtype:
-        flat = net.buffers[name] = np.empty(size, dtype)
+    if flat is None or flat.size < max(size, reserve) or flat.dtype != dtype:
+        flat = net.buffers[name] = np.empty(max(size, reserve), dtype)
     return flat[:size].reshape(shape)
 
 
 def input_buffer(net: Network, n: int) -> np.ndarray:
-    """The net's (n, 3, height, width) float32 batch buffer, for inference
-    to decode frames into. The next call, and a training forward, may reuse
-    or drop it."""
+    """The net's (n, 3, height, width) float32 batch buffer, for frames to be
+    decoded into. A training forward's cache reads it until backward."""
     cfg = net.config
     return _buffer(net, "batch", (n, IN_CHANNELS, cfg.height, cfg.width), np.float32)
 
@@ -214,11 +225,12 @@ class ForwardCache:
     """What backward reads of a training forward. `activations` holds the
     image batch, then each block's ReLU output: block i's conv input is
     activations[i] and its ReLU output activations[i + 1]. It serves one
-    backward."""
+    backward, before the next forward on its net (`generation`)."""
 
     activations: list[np.ndarray]
     bn_caches: list[L.BatchNormCache]
     probs: np.ndarray
+    generation: int
 
 
 def forward(
@@ -226,12 +238,12 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the network; returns clamped probabilities and the backward cache.
 
-    Training mode keeps each block's input, normalised values and batch
-    statistics in the cache and releases the inference buffers. Inference
-    mode folds each BN, with its stored statistics, into its conv, writes
-    the block outputs into the net's two block buffers and returns None for
-    the cache. Neither writes `x` or a state tensor, and the probabilities
-    are a new array.
+    Training mode keeps each block's input, centred values and batch
+    statistics in the cache, in the net's workspace. Inference mode folds
+    each BN, with its stored statistics, into its conv, writes the block
+    outputs into the workspace's `act0` and `act1` in turn and returns None
+    for the cache. Neither writes `x` or a state tensor, and the
+    probabilities are a new array.
     """
     L.require_rank(x, 4, "network input")
     cfg = net.config
@@ -240,24 +252,28 @@ def forward(
         raise ShapeError(
             f"network input shape {x.shape[1:]} != configured {expected}"
         )
-    if training:
-        net.buffers.clear()
+    net.generation += 1
     activations, bn_caches = [x], []
     h = x
     for i, (conv, bn) in enumerate(zip(net.convs, net.bns)):
+        n, _, height, width = h.shape
+        shape = (n, conv.filters, height - L.KERNEL + 1, width - L.KERNEL + 1)
+        dtype = np.result_type(conv.weights, h)
         if not training:
-            folded = L.batchnorm_fold(conv, bn)
-            n, _, height, width = h.shape
-            shape = (n, folded.filters, height - L.KERNEL + 1, width - L.KERNEL + 1)
-            out = _buffer(net, f"block{i % 2}", shape, np.result_type(folded.weights, h))
-            h = L.relu_forward(L.conv2d_forward(h, folded, out=out))
+            out = _buffer(net, f"act{i % 2}", shape, dtype)
+            h = L.relu_forward(L.conv2d_forward(h, L.batchnorm_fold(conv, bn), out=out))
             continue
-        h, bn_cache = L.batchnorm_forward(L.conv2d_forward(h, conv), bn)
+        # Backward writes conv i's d_input here, of the shape of its input h.
+        z = _buffer(net, f"conv{i}", shape, dtype, reserve=h.size if i else 0)
+        out = _buffer(net, f"act{i}", shape, dtype)
+        h, bn_cache = L.batchnorm_forward(L.conv2d_forward(h, conv, out=z), bn, out=out)
         h = L.relu_forward(h)
         activations.append(h)
         bn_caches.append(bn_cache)
     probs = L.sigmoid(L.dense_forward(flatten(h), net.dense))
-    return probs, ForwardCache(activations, bn_caches, probs) if training else None
+    if not training:
+        return probs, None
+    return probs, ForwardCache(activations, bn_caches, probs, net.generation)
 
 
 def backward(
@@ -270,6 +286,10 @@ def backward(
     """
     if cache is None:
         raise ContractError("backward requires the cache of a training-mode forward")
+    if cache.generation != net.generation:
+        raise ContractError(
+            "backward: stale cache, a later forward on this net has overwritten it"
+        )
     p = cache.probs
     y = np.asarray(labels)
     if y.shape != p.shape:
@@ -280,21 +300,27 @@ def backward(
     if len(bn_caches) != len(net.convs):
         raise ContractError("backward: cache already consumed by an earlier backward")
     grads: dict[str, np.ndarray] = {}
+    top = acts.pop()
+    # The dense d_input goes into the last ReLU output, so its mask goes first.
+    mask = top > 0
     d, grads["dense.weights"], grads["dense.bias"] = L.dense_backward(
-        flatten(acts[-1]), net.dense, d_logits
+        flatten(top), net.dense, d_logits, out=flatten(top)
     )
-    d = unflatten(d, acts[-1].shape)
+    d = unflatten(d, top.shape)
     for i in reversed(range(len(net.convs))):
-        # The ReLU output is positive exactly where its input is; block i's
-        # ReLU output and BN cache die once read.
-        d = L.relu_backward(acts.pop(), d)
+        d = L.relu_backward(mask, d)
         d, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = L.batchnorm_backward(
             bn_caches.pop(), net.bns[i], d
         )
         # Block 0's input is the image batch; nothing reads its gradient.
+        # Past it, conv i's d_input goes where BN i's centred values were.
+        x = acts[i]
+        out = _buffer(net, f"conv{i}", x.shape, x.dtype) if i else None
         d, grads[f"conv{i}.weights"] = L.conv2d_backward(
-            acts[i], net.convs[i], d, input_grad=i > 0
+            x, net.convs[i], d, input_grad=i > 0, out=out
         )
+        # Block i - 1's ReLU output, positive exactly where its input is.
+        mask = acts.pop()
     return grads
 
 

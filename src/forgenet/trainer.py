@@ -121,13 +121,13 @@ def train(
             train_manifest, config.batch_size, shuffle=True, seed=[config.seed, epoch]
         )
         for position, indices in enumerate(batches, start=1):
-            batch = data_mod.assemble_batch(
-                train_manifest, indices, threads=config.loader_threads
-            )
             n = len(indices)
+            batch = data_mod.assemble_batch(
+                train_manifest, indices, threads=config.loader_threads,
+                out=model_mod.input_buffer(net, n),
+            )
             probs, cache = model_mod.forward(net, batch.x, training=True)
             loss, _ = bce_loss(probs, batch.y)
-            # A comprehension: a loop name would keep a cache's xhat alive.
             stats += n * np.array([(c.mean, c.var) for c in cache.bn_caches], float)
             grads = model_mod.backward(net, cache, batch.y)
             try:

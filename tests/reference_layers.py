@@ -8,11 +8,13 @@ the input gradient. The BN functions are the earlier two-mode forward
 (batch statistics in training, stored statistics at inference) and the
 backward that sums over dxhat = upstream * gamma. They differ from the
 originals in reading epsilon from the module constant, in returning the
-same gradient tuples as `forgenet.layers`, with no conv bias gradient, and
-in writing no layer tensor: the training forward returns the batch mean
-and variance in its cache, as `forgenet.layers` does, for the trainer to
-average into the stored statistics. Tests compare the program's conv, BN
-backward and folded inference against them.
+same gradient tuples as `forgenet.layers`, with no conv bias gradient, in
+taking the same `out` arguments, and in writing no layer tensor: the
+training forward returns the batch mean and variance in its cache, as
+`forgenet.layers` does, for the trainer to average into the stored
+statistics, and the cache's centred values, from which backward forms xhat.
+Neither writes the cache. Tests compare the program's conv, BN and folded
+inference against them.
 """
 
 from __future__ import annotations
@@ -65,9 +67,10 @@ def conv2d_forward(
 
 
 def conv2d_backward(
-    x: np.ndarray, layer: ConvLayer, upstream: np.ndarray
+    x: np.ndarray, layer: ConvLayer, upstream: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(d_input, d_weights) of conv2d_forward under sum(upstream * output)."""
+    """(d_input, d_weights) of conv2d_forward under sum(upstream * output).
+    With `out` given, d_input is copied into it and `out` returned."""
     require_rank(x, 4, "conv input")
     require_rank(upstream, 4, "conv upstream")
     n, c, h, w = x.shape
@@ -90,6 +93,9 @@ def conv2d_backward(
     for dy in range(KERNEL):
         for dx in range(KERNEL):
             d_input[:, :, dy : dy + ho, dx : dx + wo] += dcols[:, :, :, :, dy, dx]
+    if out is not None:
+        out[...] = d_input
+        d_input = out
     return d_input, d_weights
 
 
@@ -116,11 +122,12 @@ def batchnorm_forward(
     else:
         mean, var = layer.moving_mean, layer.moving_var
     inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-    xhat = (x - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
+    centred = x - mean.reshape(1, c, 1, 1)
+    xhat = centred * inv_std.reshape(1, c, 1, 1)
     out = layer.gamma.reshape(1, c, 1, 1) * xhat + layer.beta.reshape(1, c, 1, 1)
     if not training:
         return out, None
-    return out, BatchNormCache(xhat=xhat, mean=mean, var=var, inv_std=inv_std)
+    return out, BatchNormCache(centred=centred, mean=mean, var=var, inv_std=inv_std)
 
 
 def batchnorm_backward(
@@ -137,22 +144,21 @@ def batchnorm_backward(
             "batchnorm gradient undefined for zero-variance channel"
         )
     require_rank(upstream, 4, "batchnorm upstream")
-    if upstream.shape != cache.xhat.shape:
+    if upstream.shape != cache.centred.shape:
         raise ShapeError(
-            f"batchnorm upstream shape {upstream.shape} != {cache.xhat.shape}"
+            f"batchnorm upstream shape {upstream.shape} != {cache.centred.shape}"
         )
     c = layer.channels
     n, _, h, w = upstream.shape
     count = n * h * w
+    inv_std = cache.inv_std.reshape(1, c, 1, 1)
+    xhat = cache.centred * inv_std
 
-    d_gamma = (upstream * cache.xhat).sum(axis=(0, 2, 3))
+    d_gamma = (upstream * xhat).sum(axis=(0, 2, 3))
     d_beta = upstream.sum(axis=(0, 2, 3))
 
     dxhat = upstream * layer.gamma.reshape(1, c, 1, 1)
     sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-    sum_dxhat_xhat = (dxhat * cache.xhat).sum(axis=(0, 2, 3), keepdims=True)
-    inv_std = cache.inv_std.reshape(1, c, 1, 1)
-    d_input = (inv_std / count) * (
-        count * dxhat - sum_dxhat - cache.xhat * sum_dxhat_xhat
-    )
+    sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+    d_input = (inv_std / count) * (count * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
     return d_input, d_gamma, d_beta

@@ -552,6 +552,28 @@ def test_run_lists_every_file_it_wrote(cli_run, tmp_path, command):
     assert sorted(listed) == sorted(written)
 
 
+def test_non_utf8_input_is_runtime_error(synth_root, tmp_path, capsys):
+    root, _ = synth_root
+    log = tmp_path / "log.csv"
+    log.write_bytes(b"video_id,frame_index,truth,probability\nv\xff,0,1,0.9\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(b"path,label,video_id,frame_index\na.ppm,0,v\xff,0\n")
+    runs = {
+        log: ["eval", "--predictions", str(log)],
+        manifest: [
+            "train", "--manifest", str(manifest),
+            "--val-manifest", str(root / "val" / "manifest.csv"),
+            "--layers", "2", "--filters", "2", "--size", "24",
+        ],
+    }
+    for path, argv in runs.items():
+        out = tmp_path / f"out-{path.stem}"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: line 2: not UTF-8 text\n"
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestTopLevel:
     def test_version_flag(self, capsys):
         assert cli.main(["--version"]) == 0

@@ -103,6 +103,17 @@ class TestReadManifest:
         monkeypatch.chdir(tmp_path / "d")
         assert data.read_manifest("manifest.csv").rows[0].path == "vid0000/0.ppm"
 
+    @pytest.mark.parametrize("line", [1, 2, 700])
+    def test_non_utf8_names_file_and_line(self, tmp_path, line):
+        rows = [f"v/{i}.ppm,0,v,{i}\n".encode() for i in range(1, 800)]
+        text = b"path,label,video_id,frame_index\n" + b"".join(rows)
+        lines = text.splitlines(keepends=True)
+        lines[line - 1] = lines[line - 1].replace(b",", b"\xff,", 1)
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ManifestError, match=f"m.csv: line {line}: not UTF-8"):
+            data.read_manifest(path)
+
     def test_write_read_roundtrip(self, tmp_path):
         original = data.parse_manifest(GOOD_MANIFEST)
         data.write_manifest(original, tmp_path / "m.csv")

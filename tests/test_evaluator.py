@@ -282,7 +282,7 @@ class TestPredictManifest:
         net = model.build(cfg)
         a = evaluator.predict_manifest(net, manifests["val"], batch_size=16)
         pointers = {name: buf.ctypes.data for name, buf in net.buffers.items()}
-        assert set(pointers) == {"batch", "block0", "block1"}
+        assert set(pointers) == {"batch", "act0", "act1"}
         b = evaluator.predict_manifest(net, manifests["val"], batch_size=16)
         assert {name: buf.ctypes.data for name, buf in net.buffers.items()} == pointers
         assert a == b
@@ -369,6 +369,14 @@ class TestPredictionLogIO:
             ManifestError, match="line 3: video 'v' has truth 1 on its earlier rows, "
             "this row has 0"
         ):
+            evaluator.read_predictions(path)
+
+    def test_non_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(
+            b"video_id,frame_index,truth,probability\nv,0,1,0.9\nv\xff,1,1,0.2\n"
+        )
+        with pytest.raises(ManifestError, match="p.csv: line 3: not UTF-8"):
             evaluator.read_predictions(path)
 
     def test_field_count_rejected(self, tmp_path):

@@ -132,6 +132,19 @@ class TestConvBackward:
         assert_close(d_weights, central_diff(objective, layer.weights), 1e-4)
         assert_close(d_input, central_diff(objective, x), 1e-4)
 
+    def test_writes_d_input_into_out(self, rng):
+        x = rng.normal(size=(2, 2, 6, 5))
+        layer = make_conv(rng, 3, 2)
+        upstream = rng.normal(size=(2, 3, 4, 3))
+        want_input, want_weights = layers.conv2d_backward(x, layer, upstream)
+        out = np.empty_like(x)
+        d_input, d_weights = layers.conv2d_backward(x, layer, upstream, out=out)
+        assert d_input is out
+        assert np.array_equal(d_input, want_input)
+        assert np.array_equal(d_weights, want_weights)
+        with pytest.raises(ShapeError):
+            layers.conv2d_backward(x, layer, upstream, out=np.empty((2, 2, 6, 6)))
+
 
 def assert_rel(actual, expected, rtol, what):
     """Elementwise within rtol of the largest magnitude in `expected`."""
@@ -444,7 +457,7 @@ class TestBatchNormForward:
         out, cache = layers.batchnorm_forward(x.copy(), layer)
         pairs = [
             ("output", out, expected),
-            ("xhat", cache.xhat, ref_cache.xhat),
+            ("centred", cache.centred, ref_cache.centred),
             ("mean", cache.mean, ref_cache.mean),
             ("var", cache.var, ref_cache.var),
         ]
@@ -452,10 +465,20 @@ class TestBatchNormForward:
             assert_close(got, want, 1e-9, atol=1e-9 * np.abs(want).max(), what=name)
 
     def test_takes_over_its_input(self, rng):
-        # The conv output becomes xhat: no full-size copy is made of it.
+        # The conv output is centred in place: no full-size copy is made of it.
         x = rng.normal(size=(2, 3, 4, 4))
         _, cache = layers.batchnorm_forward(x, make_bn(3))
-        assert cache.xhat is x
+        assert cache.centred is x
+
+    def test_writes_into_out(self, rng):
+        x = rng.normal(size=(2, 3, 4, 4))
+        expected, _ = layers.batchnorm_forward(x.copy(), make_bn(3))
+        out = np.empty_like(x)
+        got, _ = layers.batchnorm_forward(x, make_bn(3), out=out)
+        assert got is out
+        assert got.tobytes() == expected.tobytes()
+        with pytest.raises(ShapeError):
+            layers.batchnorm_forward(x.copy(), make_bn(3), out=np.empty((2, 3, 4, 3)))
 
 
 class TestBatchNormBackward:
@@ -516,19 +539,26 @@ class TestBatchNormBackward:
         for name, g, want in zip(("d_input", "d_gamma", "d_beta"), got, expected, strict=True):
             assert_close(g, want, 1e-9, atol=1e-9 * np.abs(want).max(), what=name)
 
-    def test_float32_parameter_gradients_bitwise(self, rng):
+    def test_float32_gradients_against_float64(self, rng):
+        # d_beta is the reference's own sum, so it stays bitwise. d_gamma and
+        # d_input come from the per-channel coefficient form, whose float32
+        # rounding differs from the reference's: both are checked against
+        # the float64 gradients of the same inputs.
         layer = make_bn(4, np.float32, gamma=rng.uniform(0.5, 1.5, 4),
                         beta=rng.normal(size=4))
         x = rng.normal(size=(16, 4, 30, 30)).astype(np.float32)
         upstream = rng.normal(size=x.shape).astype(np.float32)
-        _, cache = layers.batchnorm_forward(x, layer)
-        want_input, want_gamma, want_beta = reference_layers.batchnorm_backward(
-            cache, layer, upstream
+        layer64 = make_bn(4, gamma=layer.gamma, beta=layer.beta)
+        _, cache64 = reference_layers.batchnorm_forward(x.astype(np.float64), layer64, True)
+        want_input, want_gamma, _ = reference_layers.batchnorm_backward(
+            cache64, layer64, upstream.astype(np.float64)
         )
+        _, cache = layers.batchnorm_forward(x, layer)
+        _, _, want_beta = reference_layers.batchnorm_backward(cache, layer, upstream)
         d_input, d_gamma, d_beta = layers.batchnorm_backward(cache, layer, upstream)
-        assert d_input.dtype == np.float32
-        assert np.array_equal(d_gamma, want_gamma)
+        assert d_input.dtype == d_gamma.dtype == d_beta.dtype == np.float32
         assert np.array_equal(d_beta, want_beta)
+        assert_close(d_gamma, want_gamma, 1e-5, atol=0.0, what="d_gamma")
         assert_close(d_input, want_input, 1e-5,
                      atol=1e-6 * np.abs(want_input).max(), what="d_input")
 
@@ -588,13 +618,15 @@ class TestRelu:
         assert layers.relu_backward(x, np.ones_like(x))[0, 0, 0, 0] == 0.0
 
     def test_backward_through_output_matches_input(self, rng):
-        # Backward may gate on the ReLU output instead of its input.
+        # Backward may gate on the ReLU output, or its mask, instead of its input.
         x = np.array([-2.0, -0.0, 0.0, 1e-30, 3.0, np.nan, -np.inf, np.inf],
                      np.float32).reshape(1, 2, 2, 2)
         upstream = rng.normal(size=x.shape).astype(np.float32)
-        via_output = layers.relu_backward(layers.relu_forward(x.copy()), upstream.copy())
+        output = layers.relu_forward(x.copy())
+        via_output = layers.relu_backward(output, upstream.copy())
+        via_mask = layers.relu_backward(output > 0, upstream.copy())
         via_input = layers.relu_backward(x, upstream.copy())
-        assert via_output.tobytes() == via_input.tobytes()
+        assert via_output.tobytes() == via_input.tobytes() == via_mask.tobytes()
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
@@ -653,6 +685,19 @@ class TestDense:
         assert_close(d_weights, central_diff(objective, layer.weights), 1e-4)
         assert_close(d_bias, central_diff(objective, layer.bias), 1e-4)
         assert_close(d_input, central_diff(objective, x), 1e-4)
+
+    def test_writes_d_input_over_its_input(self, rng):
+        # The model lays the head's d_input over the last block's output.
+        x = rng.normal(size=(3, 5))
+        layer = layers.DenseLayer(
+            weights=rng.normal(size=(5, 1)), bias=rng.normal(size=(1,))
+        )
+        upstream = rng.normal(size=(3,))
+        expected = layers.dense_backward(x, layer, upstream)
+        got = layers.dense_backward(x, layer, upstream, out=x)
+        assert got[0] is x
+        for name, g, want in zip(("d_input", "d_weights", "d_bias"), got, expected):
+            assert np.array_equal(g, want), name
 
 
 class TestSigmoid:

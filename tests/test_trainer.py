@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,6 +306,62 @@ class TestTrainMemory:
                 tracemalloc.stop()
 
         assert peak(epoch) <= 1.01 * peak(bare_step)
+
+
+# One process's train steps at 32px, batch 16, as `trainer.train` runs
+# them: it prints the minor page faults of STEPS steps after WARM_UP.
+FAULT_PROBE = """
+import resource, sys
+from forgenet import data, model
+from forgenet.optim import AdamState, adam_step
+
+WARM_UP, STEPS = 2, 20
+manifest = data.read_manifest(sys.argv[1])
+net = model.build(model.NetworkConfig(height=32, width=32, seed=5))
+params, adam = net.parameters(), AdamState()
+batches = data.make_batches(manifest, 16, shuffle=True, seed=0)
+for step in range(WARM_UP + STEPS):
+    if step == WARM_UP:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    indices = batches[step % len(batches)]
+    batch = data.assemble_batch(
+        manifest, indices, out=model.input_buffer(net, len(indices))
+    )
+    _, cache = model.forward(net, batch.x, training=True)
+    adam_step(params, model.backward(net, cache, batch.y), adam)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / STEPS)
+"""
+
+
+class TestTrainWorkspace:
+    def test_validation_keeps_the_step_workspace(self, synth_root):
+        # Validation runs in the arrays the step sized: it neither grows
+        # nor replaces any of them.
+        _, manifests = synth_root
+        train = manifests["train"]
+        net = model.build(NET_CFG)
+        (indices, *_) = data.make_batches(train, 16, shuffle=True, seed=0)
+        batch = data.assemble_batch(train, indices, out=model.input_buffer(net, 16))
+        _, cache = model.forward(net, batch.x, training=True)
+        model.backward(net, cache, batch.y)
+        pointers = {name: buf.ctypes.data for name, buf in net.buffers.items()}
+        trainer.validation_accuracy(net, manifests["val"], batch_size=16)
+        assert {name: buf.ctypes.data for name, buf in net.buffers.items()} == pointers
+
+    def test_steps_take_few_page_faults(self, tmp_path):
+        # Fresh arrays each step are handed back to the OS and faulted in
+        # again by the next step, about 400 faults per step at this shape.
+        pytest.importorskip("resource")  # the probe process reads it
+        data.generate_synthetic(16, 4, 32, 7, tmp_path)
+        src = str(Path(data.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", FAULT_PROBE, str(tmp_path / data.MANIFEST_NAME)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout) <= 50
 
 
 class TestValidationPurity:
