@@ -5,8 +5,10 @@ command returns, `main` writes a run.json record next to them: command,
 resolved config, seed (null for eval), timestamps, version and `outputs`, every
 file the run wrote (train's checkpoints included; gen-synth's manifest.csv
 names its frames). It replaces the run.json of an earlier run into the same
---out. Exit codes: 0 success, 1 runtime failure, 2 usage or config error. The
-FORGENET_LOG environment variable sets log verbosity (DEBUG, INFO, WARNING, ...).
+--out. `eval` reports both levels, frame and video, of one set of
+predictions. Every manifest and prediction log is read by
+`data.read_frame_rows`. Exit codes: 0 success, 1 runtime failure, 2 usage or
+config error. FORGENET_LOG sets log verbosity (DEBUG, INFO, WARNING, ...).
 """
 
 from __future__ import annotations
@@ -190,48 +192,43 @@ def cmd_eval(args: argparse.Namespace) -> Run:
     if args.histogram and not chosen:
         raise ForgenetError(f"no predictions for video {args.histogram!r}")
     counts = eval_mod.probability_histogram(chosen) if args.histogram else None
-    if args.level == "frame":
-        accuracy, cm, misclassified = eval_mod.frame_metrics(records)
-    else:
-        accuracy, cm, verdicts = eval_mod.video_metrics(records)
-    outputs = [out / PREDICTIONS_NAME]
+    frame_accuracy, frame_cm, misclassified = eval_mod.frame_metrics(records)
+    video_accuracy, video_cm, verdicts = eval_mod.video_metrics(records)
+    misses = [v for v in verdicts if v.predicted != v.truth]
+    print(f"frame accuracy {frame_accuracy:.4f}")
+    print(f"misclassified frames: {misclassified} of {len(records)}")
+    print(f"video accuracy {video_accuracy:.4f}")
+    print(f"missed videos: {len(misses)} of {len(verdicts)}")
+    for v in misses:
+        share = v.frames_original / (v.frames_original + v.frames_fake)
+        print(
+            f"  {v.video_id}: truth={v.truth} predicted={v.predicted} "
+            f"({share:.0%} of frames voted original)"
+        )
+    metrics: dict[str, object] = {
+        "frame_accuracy": frame_accuracy,
+        "misclassified_frames": misclassified,
+        "total_frames": len(records),
+        "video_accuracy": video_accuracy,
+        "missed_videos": len(misses),
+        "total_videos": len(verdicts),
+    }
+    for level, cm in (("frame", frame_cm), ("video", video_cm)):
+        print(eval_mod.format_confusion(cm, level))
+        for truth in (0, 1):
+            for detected in (0, 1):
+                metrics[f"{level}_rate_truth{truth}_detected{detected}"] = float(
+                    cm.rates[truth, detected]
+                )
+
     eval_mod.write_predictions(records, out / PREDICTIONS_NAME)
-
-    metrics: dict[str, object] = {}
-    if args.level == "frame":
-        print(f"frame accuracy {accuracy:.4f}")
-        print(f"misclassified frames: {misclassified} of {len(records)}")
-        metrics["frame_accuracy"] = accuracy
-        metrics["misclassified_frames"] = misclassified
-        metrics["total_frames"] = len(records)
-    else:
-        misses = [v for v in verdicts if v.predicted != v.truth]
-        print(f"video accuracy {accuracy:.4f}")
-        print(f"missed videos: {len(misses)} of {len(verdicts)}")
-        for v in misses:
-            share = v.frames_original / (v.frames_original + v.frames_fake)
-            print(
-                f"  {v.video_id}: truth={v.truth} predicted={v.predicted} "
-                f"({share:.0%} of frames voted original)"
-            )
-        verdict_path = out / VIDEO_VERDICTS_NAME
-        table = [
-            [v.video_id, v.truth, v.predicted, v.frames_original, v.frames_fake]
-            for v in verdicts
-        ]
-        header = ["video_id", "truth", "predicted", "frames_original", "frames_fake"]
-        data_mod.write_csv(verdict_path, header, table)
-        outputs.append(verdict_path)
-        metrics["video_accuracy"] = accuracy
-        metrics["missed_videos"] = len(misses)
-        metrics["total_videos"] = len(verdicts)
-    print(eval_mod.format_confusion(cm))
-    for truth in (0, 1):
-        for detected in (0, 1):
-            metrics[f"rate_truth{truth}_detected{detected}"] = float(
-                cm.rates[truth, detected]
-            )
-
+    table = [
+        [v.video_id, v.truth, v.predicted, v.frames_original, v.frames_fake]
+        for v in verdicts
+    ]
+    header = ["video_id", "truth", "predicted", "frames_original", "frames_fake"]
+    data_mod.write_csv(out / VIDEO_VERDICTS_NAME, header, table)
+    outputs = [out / PREDICTIONS_NAME, out / VIDEO_VERDICTS_NAME]
     if counts is not None:
         hist_path = out / f"histogram_{args.histogram}.csv"
         bins = eval_mod.HISTOGRAM_BINS
@@ -245,7 +242,6 @@ def cmd_eval(args: argparse.Namespace) -> Run:
     eval_mod.write_metrics_jsonl(metrics, out / METRICS_JSONL_NAME)
     outputs.append(out / METRICS_JSONL_NAME)
     config = {
-        "level": args.level,
         "weights": args.weights,
         "manifest": args.manifest,
         "predictions": args.predictions,
@@ -329,11 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train.set_defaults(func=cmd_train)
 
-    ev = sub.add_parser("eval", help="score predictions at frame or video level")
+    ev = sub.add_parser("eval", help="score predictions at frame and video level")
     ev.add_argument("--weights")
     ev.add_argument("--manifest")
     ev.add_argument("--predictions", help="score a previously written prediction log")
-    ev.add_argument("--level", choices=("frame", "video"), default="frame")
     ev.add_argument("--histogram", metavar="VIDEO_ID")
     ev.add_argument("--batch", type=int, default=128)
     ev.add_argument("--threads", type=int, default=1)

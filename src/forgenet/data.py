@@ -5,8 +5,9 @@ frames described by a manifest CSV with header
 `path,label,video_id,frame_index`; frame extraction and face cropping are
 upstream concerns. Labels are 0 = original, 1 = fake.
 
-Every CSV the package writes goes through `write_csv`, every CSV it reads
-through `read_csv`, and every output but PPM frames through `write_atomic`.
+Every CSV the package writes goes through `write_csv`, every output but PPM
+frames through `write_atomic`, and every CSV it reads (manifests and
+prediction logs, one row per frame) through `read_frame_rows`.
 
 The synthetic generator produces desk-scale stand-in data with the same
 layout: per-video smooth color gradients, where fake videos additionally
@@ -95,63 +96,79 @@ def read_text(path) -> str:
         raise  # the file changed between the two reads
 
 
-def read_csv(source: str, header: list[str], empty: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line_no, record) for each non-blank record of CSV text.
+def read_frame_rows(
+    source: str, header: list[str], label_column: str, empty: str
+) -> Iterator[tuple[int, list[str], int, int]]:
+    """Yield (line_no, record, frame_index, label) for each non-blank record
+    of CSV text with one row per frame: a manifest or a prediction log.
 
-    The first record must equal `header` and every later one must have as
-    many fields, or ManifestError names the 1-based line; `empty` is the
-    message for text without a header."""
+    The first record must equal `header`; `empty` is the message for text
+    without one. Every later record must have as many fields, an integer
+    frame_index, a (video_id, frame_index) no earlier row has, and a
+    `label_column` of exactly 0 or 1 that its video's earlier rows share.
+    Else ManifestError names the physical 1-based line the record starts on."""
     reader = csv.reader(io.StringIO(source))
-    try:
-        first = next(reader)
-    except StopIteration:
-        raise ManifestError(f"line 1: {empty}") from None
-    if first != header:
-        raise ManifestError(f"line 1: bad header {first!r}, expected {header!r}")
     width = len(header)
-    for line_no, record in enumerate(reader, start=2):
-        if not record:
-            continue
-        if len(record) != width:
-            raise ManifestError(
-                f"line {line_no}: expected {width} fields, got {len(record)}"
-            )
-        yield line_no, record
+    video_col, frame_col = header.index("video_id"), header.index("frame_index")
+    label_col = header.index(label_column)
+    labels = {"0": 0, "1": 1}
+    seen: set[tuple[str, int]] = set()
+    video_labels: dict[str, int] = {}
+    try:
+        if (first := next(reader, None)) is None:
+            raise ManifestError(f"line 1: {empty}")
+        if first != header:
+            raise ManifestError(f"line 1: bad header {first!r}, expected {header!r}")
+        end = reader.line_num
+        for record in reader:
+            line_no, end = end + 1, reader.line_num  # a quoted field may span lines
+            if not record:
+                continue
+            if len(record) != width:
+                raise ManifestError(
+                    f"line {line_no}: expected {width} fields, got {len(record)}"
+                )
+            label_text = record[label_col]
+            if (label := labels.get(label_text)) is None:
+                raise ManifestError(
+                    f"line {line_no}: {label_column} must be 0 or 1, got {label_text!r}"
+                )
+            try:
+                frame_index = int(record[frame_col])
+            except ValueError:
+                raise ManifestError(
+                    f"line {line_no}: bad frame_index {record[frame_col]!r}"
+                ) from None
+            video_id = record[video_col]
+            if (key := (video_id, frame_index)) in seen:
+                raise ManifestError(f"line {line_no}: duplicate (video_id, frame_index) {key}")
+            seen.add(key)
+            if (first_label := video_labels.setdefault(video_id, label)) != label:
+                raise ManifestError(
+                    f"line {line_no}: video {video_id!r} has {label_column} {first_label} "
+                    f"on its earlier rows, this row has {label_text}"
+                )
+            yield line_no, record, frame_index, label
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ManifestError(f"line {reader.line_num}: {exc}") from None
 
 
 def parse_manifest(source: str, split: str = "train", directory: str = "") -> DatasetManifest:
     """Parse manifest CSV text; rows keep file order. A relative row path is
     joined to `directory` as written, and an absolute one is kept as given.
 
-    Raises ManifestError with a 1-based line number for a bad header,
-    malformed row, non-{0,1} label, duplicate (video_id, frame_index), or
-    a label that differs from the one on its video's earlier rows.
+    Raises ManifestError with a 1-based line number for any fault that
+    `read_frame_rows` refuses, and for an empty path or one with a NUL byte.
     """
     rows: list[ManifestRow] = []
-    seen: set[tuple[str, int]] = set()
-    video_labels: dict[str, int] = {}
-    records = read_csv(source, MANIFEST_HEADER, "empty manifest, expected header")
-    for line_no, (path, label_text, video_id, frame_text) in records:
+    records = read_frame_rows(
+        source, MANIFEST_HEADER, "label", "empty manifest, expected header"
+    )
+    for line_no, (path, _, video_id, _), frame_index, label in records:
         if not path:
             raise ManifestError(f"line {line_no}: empty path")
-        if label_text not in ("0", "1"):
-            raise ManifestError(f"line {line_no}: label must be 0 or 1, got {label_text!r}")
-        try:
-            frame_index = int(frame_text)
-        except ValueError:
-            raise ManifestError(
-                f"line {line_no}: bad frame_index {frame_text!r}"
-            ) from None
-        key = (video_id, frame_index)
-        if key in seen:
-            raise ManifestError(f"line {line_no}: duplicate (video_id, frame_index) {key}")
-        seen.add(key)
-        label = video_labels.setdefault(video_id, int(label_text))
-        if label != int(label_text):
-            raise ManifestError(
-                f"line {line_no}: video {video_id!r} has label {label} on its "
-                f"earlier rows, this row has {label_text}"
-            )
+        if "\0" in path:
+            raise ManifestError(f"line {line_no}: NUL byte in path {path!r}")
         rows.append(ManifestRow(os.path.join(directory, path), label, video_id, frame_index))
     return DatasetManifest(rows=rows, split=split)
 

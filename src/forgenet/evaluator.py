@@ -173,41 +173,26 @@ def write_predictions(records: list[PredictionRecord], path) -> None:
 
 
 def read_predictions(path) -> list[PredictionRecord]:
-    text = data_mod.read_text(path)
+    """A prediction log's records in file order; ManifestError names a bad line."""
     records: list[PredictionRecord] = []
-    seen: set[tuple[str, int]] = set()
-    video_truths: dict[str, int] = {}
-    for line_no, row in data_mod.read_csv(text, PREDICTIONS_HEADER, "empty prediction log"):
+    rows = data_mod.read_frame_rows(
+        data_mod.read_text(path), PREDICTIONS_HEADER, "truth", "empty prediction log"
+    )
+    for line_no, (video_id, _, _, text), frame_index, truth in rows:
         try:
-            frame_index = int(row[1])
+            probability = float(text)
         except ValueError:
-            raise ManifestError(f"line {line_no}: bad frame_index {row[1]!r}") from None
-        key = (row[0], frame_index)
-        if key in seen:
-            raise ManifestError(f"line {line_no}: duplicate (video_id, frame_index) {key}")
-        seen.add(key)
-        try:
-            truth = int(row[2])
-            probability = float(row[3])
-        except ValueError:
-            raise ManifestError(f"line {line_no}: bad truth/probability") from None
-        if truth not in (0, 1):
-            raise ManifestError(f"line {line_no}: truth must be 0 or 1, got {truth}")
+            raise ManifestError(f"line {line_no}: bad probability {text!r}") from None
         if not 0.0 <= probability <= 1.0:
-            raise ManifestError(f"line {line_no}: probability out of [0,1]")
-        first = video_truths.setdefault(row[0], truth)
-        if first != truth:
-            raise ManifestError(
-                f"line {line_no}: video {row[0]!r} has truth {first} on its "
-                f"earlier rows, this row has {truth}"
-            )
-        records.append(PredictionRecord(row[0], frame_index, truth, probability))
+            raise ManifestError(f"line {line_no}: probability out of [0,1], got {text!r}")
+        records.append(PredictionRecord(video_id, frame_index, truth, probability))
     return records
 
 
-def format_confusion(cm: ConfusionMatrix) -> str:
+def format_confusion(cm: ConfusionMatrix, title: str = "") -> str:
+    """The matrix as a table, with `title` in its top left corner."""
     lines = [
-        "                    detected original   detected fake",
+        f"{title:<20}detected original   detected fake",
         f"truth original      {cm.counts[0, 0]:>12d} ({cm.rates[0, 0]:.3f})"
         f"   {cm.counts[0, 1]:>8d} ({cm.rates[0, 1]:.3f})",
         f"truth fake          {cm.counts[1, 0]:>12d} ({cm.rates[1, 0]:.3f})"

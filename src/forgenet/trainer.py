@@ -97,13 +97,24 @@ def train(
     """Run up to config.epochs of Adam updates; returns the trained network,
     one record per completed epoch, and why training stopped. A non-finite
     gradient stops training with an error that names its epoch, its batch
-    and the batch's first (video_id, frame_index)."""
+    and the batch's first (video_id, frame_index). A batch size whose last
+    batch would leave batch norm one value per channel is refused before
+    the first step."""
     if not train_manifest.rows:
         raise ContractError("train: empty training manifest")
     if not val_manifest.rows:
         raise ContractError("train: empty validation manifest")
     expected = (net.config.height, net.config.width)
     data_mod.check_frame_sizes(expected, train_manifest, val_manifest)
+    # Training BN needs 2 values per channel, and the last batch is the smallest.
+    last = len(train_manifest) % config.batch_size or config.batch_size
+    height, width = net.config.feature_height, net.config.feature_width
+    if last * height * width < 2:
+        raise ContractError(
+            f"batch size {config.batch_size} on {len(train_manifest)} training "
+            f"frames leaves a last batch of {last}, and over the final "
+            f"{height}x{width} map batch norm needs >= 2 values per channel"
+        )
 
     params = net.parameters()
     adam = AdamState(lr=config.lr)

@@ -340,7 +340,7 @@ def test_criterion_10_cli_determinism(synth_root, tmp_path):
             "eval",
             "--weights", str(t1 / "weights.fgn"),
             "--manifest", str(root / "test" / "manifest.csv"),
-            "--level", "video", "--histogram", "vid0000",
+            "--histogram", "vid0000",
             "--batch", "16", "--out", str(out),
         ]) == 0
         return out

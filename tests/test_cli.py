@@ -165,6 +165,25 @@ class TestTrain:
         assert capsys.readouterr().err.splitlines()[-1] == f"error: {info.value}"
         assert not (tmp_path / "weights.fgn").exists()
 
+    def test_one_value_per_channel_fails_before_training(self, tmp_path, capsys):
+        """4 layers leave a 9 px frame a 1x1 map: batch 2 on 3 frames would
+        give the last batch's batch norm 1 value per channel."""
+        manifest = data.generate_synthetic(2, 2, 9, 0, tmp_path / "d")
+        three = tmp_path / "three.csv"
+        data.write_manifest(data.DatasetManifest(manifest.rows[:3], "train"), three)
+        out = tmp_path / "o"
+        code = cli.main([
+            "train", "--manifest", str(three),
+            "--val-manifest", str(tmp_path / "d" / "manifest.csv"),
+            "--layers", "4", "--filters", "2", "--size", "9", "--batch", "2",
+            "--epochs", "1", "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: batch size 2 on 3 training frames")
+        assert "Traceback" not in err
+        assert not (out / "weights.fgn").exists()
+
 
 class TestEval:
     def test_frame_level_from_weights(self, cli_run, tmp_path, capsys):
@@ -184,6 +203,50 @@ class TestEval:
         assert (out / "metrics.jsonl").exists()
         records = evaluator.read_predictions(out / "predictions.csv")
         assert len(records) == 40  # 8 test videos x 5 frames
+
+    def test_reports_both_levels(self, tmp_path, capsys):
+        """One fake video of 3 frames, 2 of them scored original, and one
+        original frame scored right: 2 of 4 frames and 1 of 2 videos missed."""
+        log = tmp_path / "log.csv"
+        records = [PredictionRecord("real", 0, 0, 0.1)]
+        records += [PredictionRecord("fake", i, 1, p) for i, p in enumerate([0.2, 0.3, 0.9])]
+        evaluator.write_predictions(records, log)
+        out = tmp_path / "o"
+        assert cli.main(["eval", "--predictions", str(log), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:5] == [
+            "frame accuracy 0.5000",
+            "misclassified frames: 2 of 4",
+            "video accuracy 0.5000",
+            "missed videos: 1 of 2",
+            "  fake: truth=1 predicted=0 (67% of frames voted original)",
+        ]
+        assert lines[5].startswith("frame ") and lines[8].startswith("video ")
+        metrics = {
+            m["metric"]: m["value"]
+            for m in map(json.loads, (out / "metrics.jsonl").read_text().splitlines())
+        }
+        assert metrics == {
+            "frame_accuracy": 0.5, "misclassified_frames": 2, "total_frames": 4,
+            "video_accuracy": 0.5, "missed_videos": 1, "total_videos": 2,
+            "frame_rate_truth0_detected0": 1.0, "frame_rate_truth0_detected1": 0.0,
+            "frame_rate_truth1_detected0": 2 / 3, "frame_rate_truth1_detected1": 1 / 3,
+            "video_rate_truth0_detected0": 1.0, "video_rate_truth0_detected1": 0.0,
+            "video_rate_truth1_detected0": 1.0, "video_rate_truth1_detected1": 0.0,
+        }
+        assert (out / "videos.csv").read_text().splitlines()[1:] == [
+            "real,0,0,1,0", "fake,1,0,2,1",
+        ]
+        assert "level" not in json.loads((out / "run.json").read_text())["config"]
+
+    def test_level_is_an_unknown_flag(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = cli.main([
+            "eval", "--predictions", "p.csv", "--level", "video", "--out", str(out),
+        ])
+        assert code == 2
+        assert "unrecognized arguments: --level video" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_all_correct_log_prints_unit_accuracy(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
@@ -205,7 +268,7 @@ class TestEval:
         evaluator.write_predictions(records, log)
         out = tmp_path / "o"
         code = cli.main([
-            "eval", "--predictions", str(log), "--level", "video", "--out", str(out),
+            "eval", "--predictions", str(log), "--out", str(out),
         ])
         assert code == 0
         stdout = capsys.readouterr().out
@@ -220,7 +283,7 @@ class TestEval:
         evaluator.write_predictions([PredictionRecord("clip,a", 0, 1, 0.9)], log)
         out = tmp_path / "o"
         code = cli.main([
-            "eval", "--predictions", str(log), "--level", "video", "--out", str(out),
+            "eval", "--predictions", str(log), "--out", str(out),
         ])
         assert code == 0
         with open(out / "videos.csv", encoding="utf-8", newline="") as fh:
@@ -262,7 +325,7 @@ class TestEval:
         out.mkdir()
         (out / "run.json").write_text("{}")
         code = cli.main([
-            "eval", "--predictions", str(log), "--level", "video",
+            "eval", "--predictions", str(log),
             "--histogram", "nope", "--out", str(out),
         ])
         assert code == 1
@@ -272,7 +335,7 @@ class TestEval:
         assert captured.out == ""
         assert "no predictions for video 'nope'" in captured.err
 
-    # Logs that `eval` refuses, at either level, only after reading them;
+    # Logs that `eval` refuses only after reading them;
     # read_predictions names the line. A video whose frames carry two
     # labels, and a frame listed twice (counted twice, v would tally 1
     # original and 2 fake).
@@ -291,7 +354,7 @@ class TestEval:
             good = tmp_path / "good.csv"
             evaluator.write_predictions([PredictionRecord("v", 0, 1, 0.9)], good)
             assert cli.main([
-                "eval", "--predictions", str(good), "--level", "video",
+                "eval", "--predictions", str(good),
                 "--histogram", "v", "--out", str(out),
             ]) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()} if earlier_run else {}
@@ -299,16 +362,14 @@ class TestEval:
         log = tmp_path / "log.csv"
         rows, message = self.REFUSED_LOGS[case]
         log.write_text("video_id,frame_index,truth,probability\n" + rows)
-        for level in ("frame", "video"):
-            code = cli.main([
-                "eval", "--predictions", str(log), "--level", level,
-                "--histogram", "v", "--out", str(out),
-            ])
-            assert code == 1
-            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert message in captured.err
+        code = cli.main([
+            "eval", "--predictions", str(log), "--histogram", "v", "--out", str(out),
+        ])
+        assert code == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_predictions_and_weights_conflict(self, tmp_path):
         code = cli.main([
@@ -525,17 +586,15 @@ def test_usage_error_comes_before_out(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "command", ["gen-synth", "train", "eval-frame", "eval-video", "ablate"]
+    "command", ["gen-synth", "train", "eval", "ablate"]
 )
 def test_run_lists_every_file_it_wrote(cli_run, tmp_path, command):
     root, train_out = cli_run
     train, val, test = (str(root / s / "manifest.csv") for s in ("train", "val", "test"))
-    evaluate = ["eval", "--weights", str(train_out / "weights.fgn"), "--manifest", test,
-                "--histogram", "vid0001", "--level"]
     argv = {
         "gen-synth": ["gen-synth", "--videos", "2", "--frames", "2", "--size", "12"],
-        "eval-frame": [*evaluate, "frame"],
-        "eval-video": [*evaluate, "video"],
+        "eval": ["eval", "--weights", str(train_out / "weights.fgn"), "--manifest", test,
+                 "--histogram", "vid0001"],
         "ablate": ["ablate", "--axis", "layers", "--values", "1", "--epochs", "1",
                    "--filters", "2", "--size", "24", "--batch", "16",
                    "--manifest", train, "--val-manifest", val, "--test-manifest", test],
@@ -572,6 +631,35 @@ def test_non_utf8_input_is_runtime_error(synth_root, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == f"error: {path}: line 2: not UTF-8 text\n"
         assert not out.exists() or not any(out.iterdir())
+
+
+def test_unreadable_row_is_runtime_error(synth_root, cli_run, tmp_path, capsys):
+    """A field over the csv module's limit, in a log or a manifest, and a
+    NUL byte in a manifest path, which `open` would refuse."""
+    root, train_out = cli_run
+    long_field = "v" * 200_000
+    log = tmp_path / "log.csv"
+    log.write_text(f"video_id,frame_index,truth,probability\n{long_field},0,1,0.9\n")
+    long_manifest = tmp_path / "long.csv"
+    long_manifest.write_text(f"path,label,video_id,frame_index\na.ppm,0,{long_field},0\n")
+    nul_manifest = tmp_path / "nul.csv"
+    nul_manifest.write_text("path,label,video_id,frame_index\nvid0000/0\0.ppm,0,vid0000,0\n")
+    train = ["train", "--val-manifest", str(root / "val" / "manifest.csv"),
+             "--layers", "2", "--filters", "2", "--size", "24", "--manifest"]
+    runs = {
+        "log": (["eval", "--predictions", str(log)], "field larger than field limit"),
+        "long": ([*train, str(long_manifest)], "field larger than field limit"),
+        "nul-train": ([*train, str(nul_manifest)], "NUL byte in path"),
+        "nul-eval": (["eval", "--weights", str(train_out / "weights.fgn"),
+                      "--manifest", str(nul_manifest)], "NUL byte in path"),
+    }
+    for name, (argv, message) in runs.items():
+        out = tmp_path / f"out-{name}"
+        assert cli.main([*argv, "--out", str(out)]) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line 2: {message}"), name
+        assert "Traceback" not in err
+        assert not any(out.iterdir())
 
 
 class TestTopLevel:

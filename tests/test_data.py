@@ -1,10 +1,11 @@
 import dataclasses
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from forgenet import data, evaluator, model
@@ -12,6 +13,7 @@ from forgenet.errors import (
     ConfigError,
     ContractError,
     DecodeError,
+    ForgenetError,
     ManifestError,
     ShapeError,
 )
@@ -21,6 +23,52 @@ GOOD_MANIFEST = (
     "a/0.ppm,0,vidA,0\n"
     "a/1.ppm,1,vidB,0\n"
 )
+
+# Random edits of a valid file: (kind, position, bytes). Positions favour
+# the first and last 32 bytes, where the headers and the last record are.
+# The bytes favour those that shape the formats: separators, quotes, line
+# ends, signs, digits, NUL, and 0xff, which is never UTF-8.
+FILE_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["overwrite", "delete", "insert", "truncate"]),
+        st.integers(-32, 32) | st.integers(0, 2**16),
+        st.sampled_from([b",", b"\n", b"\r", b'"', b" ", b"#", b"-", b"+", b"0", b"1",
+                         b"9", b"\x00", b"\xff"]) | st.binary(min_size=1, max_size=4),
+    ),
+    min_size=1,
+    max_size=2,
+)
+
+# For hypothesis tests that rewrite one file in tmp_path on every example.
+FUZZ_SETTINGS = settings(
+    max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def mutate(blob: bytes, edits) -> bytes:
+    """`blob` after each edit of FILE_EDITS in turn. Positions wrap round, so
+    a negative one counts from the end; a truncation cuts the rest."""
+    out = bytearray(blob)
+    for kind, position, chunk in edits:
+        at = position % (len(out) + 1)
+        if kind == "overwrite":
+            out[at : at + len(chunk)] = chunk
+        elif kind == "delete":
+            del out[at : at + len(chunk)]
+        elif kind == "insert":
+            out[at:at] = chunk
+        else:
+            del out[at:]
+    return bytes(out)
+
+
+def parses_or_names_a_line(read, path) -> None:
+    """`read(path)` returns, or raises a ForgenetError that names a line."""
+    try:
+        read(path)
+    except ForgenetError as exc:
+        assert re.search(r"line \d+: ", str(exc)), exc
 
 
 class TestParseManifest:
@@ -71,6 +119,28 @@ class TestParseManifest:
         with pytest.raises(ConfigError):
             data.parse_manifest(GOOD_MANIFEST, split="holdout")
 
+    def test_nul_in_path_names_line(self):
+        text = GOOD_MANIFEST + "vid0000/0\0.ppm,0,vidC,0\n"
+        with pytest.raises(ManifestError, match=r"^line 4: NUL byte in path"):
+            data.parse_manifest(text)
+
+    def test_line_numbers_count_physical_lines(self):
+        """A quoted path over two lines (2 and 3): the bad label below it is
+        on physical line 4, the third record."""
+        text = (
+            'path,label,video_id,frame_index\n"a/two\nlines.ppm",0,vidA,0\n'
+            "a/1.ppm,2,vidB,0\n"
+        )
+        with pytest.raises(ManifestError, match=r"^line 4: label must be 0 or 1, got '2'"):
+            data.parse_manifest(text)
+        rows = data.parse_manifest(text.replace(",2,", ",1,")).rows
+        assert rows[0].path == "a/two\nlines.ppm"
+
+    def test_field_over_the_csv_limit_names_line(self):
+        text = GOOD_MANIFEST + f"a/2.ppm,0,{'v' * 200_000},0\n"
+        with pytest.raises(ManifestError, match=r"^line 4: field larger than field limit"):
+            data.parse_manifest(text)
+
 
 class TestReadManifest:
     def test_relative_paths_resolve_against_manifest_dir(self, tmp_path):
@@ -119,6 +189,17 @@ class TestReadManifest:
         data.write_manifest(original, tmp_path / "m.csv")
         again = data.parse_manifest((tmp_path / "m.csv").read_text())
         assert again.rows == original.rows
+
+    @given(edits=FILE_EDITS)
+    @FUZZ_SETTINGS
+    def test_mutated_file_parses_or_names_a_line(self, tmp_path, edits):
+        path = tmp_path / "m.csv"
+        rows = [data.ManifestRow("a/0.ppm", 0, "vidA", 0),
+                data.ManifestRow("a/1.ppm", 0, "vidA", 1),
+                data.ManifestRow("b,1/\n0.ppm", 1, 'vid "B"', 0)]
+        data.write_manifest(data.DatasetManifest(rows, "train"), path)
+        path.write_bytes(mutate(path.read_bytes(), edits))
+        parses_or_names_a_line(data.read_manifest, path)
 
 
 class TestAtomicWrite:
@@ -234,6 +315,19 @@ class TestLoadImage:
         with pytest.raises(DecodeError) as info:
             decode(path)
         assert str(info.value) == f"{path}: truncated PPM header"
+
+    @given(edits=FILE_EDITS)
+    @FUZZ_SETTINGS
+    def test_mutated_frame_decodes_or_raises_decode_error(self, tmp_path, edits):
+        path = tmp_path / "m.ppm"
+        pixels = np.random.default_rng(0).uniform(size=(3, 4, 5)).astype(np.float32)
+        data.write_ppm(pixels, path)
+        path.write_bytes(mutate(path.read_bytes(), edits))
+        for decode in (data.frame_size, data.load_image):
+            try:
+                decode(path)
+            except DecodeError:
+                pass
 
     def test_write_load_roundtrip_on_quantized_values(self, rng, tmp_path):
         pixels = (rng.integers(0, 256, size=(3, 4, 5)) / 255.0).astype(np.float32)

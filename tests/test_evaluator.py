@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from forgenet import data, evaluator, model
 from forgenet.errors import ContractError, ManifestError, ShapeError
 from forgenet.evaluator import PredictionRecord
+from test_data import FILE_EDITS, FUZZ_SETTINGS, mutate, parses_or_names_a_line
 
 
 def rec(video_id, frame_index, truth, probability):
@@ -384,6 +386,45 @@ class TestPredictionLogIO:
         path.write_text("video_id,frame_index,truth,probability\nv,0,1\n")
         with pytest.raises(ManifestError, match="4 fields"):
             evaluator.read_predictions(path)
+
+    @pytest.mark.parametrize("truth", [" 1", "+1", "01", "1.0"])
+    def test_truth_is_exactly_0_or_1(self, tmp_path, truth):
+        path = tmp_path / "p.csv"
+        path.write_text(f"video_id,frame_index,truth,probability\nv,0,{truth},0.5\n")
+        with pytest.raises(
+            ManifestError, match=rf"^line 2: truth must be 0 or 1, got '{re.escape(truth)}'$"
+        ):
+            evaluator.read_predictions(path)
+
+    def test_unparsable_probability_has_its_own_message(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("video_id,frame_index,truth,probability\nv,0,1,high\n")
+        with pytest.raises(ManifestError, match=r"^line 2: bad probability 'high'$"):
+            evaluator.read_predictions(path)
+
+    def test_line_numbers_count_physical_lines(self, tmp_path):
+        """write_predictions quotes a video_id with a newline: it spans
+        lines 2 and 3, so the bad truth below is on line 4."""
+        path = tmp_path / "p.csv"
+        evaluator.write_predictions([rec("two\nlines", 0, 1, 0.5)], path)
+        path.write_text(path.read_text() + "v,0,2,0.5\n")
+        with pytest.raises(ManifestError, match="^line 4: truth must be 0 or 1"):
+            evaluator.read_predictions(path)
+
+    def test_field_over_the_csv_limit_names_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        evaluator.write_predictions([rec("v", 0, 1, 0.5), rec("w" * 200_000, 0, 1, 0.5)], path)
+        with pytest.raises(ManifestError, match=r"^line 3: field larger than field limit"):
+            evaluator.read_predictions(path)
+
+    @given(edits=FILE_EDITS)
+    @FUZZ_SETTINGS
+    def test_mutated_log_parses_or_names_a_line(self, tmp_path, edits):
+        path = tmp_path / "p.csv"
+        records = [rec("a", 0, 0, 0.25), rec("a", 1, 0, 0.75), rec('b,"1"', 0, 1, 1.0)]
+        evaluator.write_predictions(records, path)
+        path.write_bytes(mutate(path.read_bytes(), edits))
+        parses_or_names_a_line(evaluator.read_predictions, path)
 
 
 class TestReports:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import reference_layers
 from fdcheck import assert_close, central_diff, clone_network
+from test_data import FILE_EDITS, FUZZ_SETTINGS, mutate
 from forgenet import data, layers, model
 from forgenet.errors import (
     ConfigError,
@@ -664,6 +665,18 @@ class TestWeightsFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(WeightsFormatError, match="magic"):
             model.load_weights(path)
+
+    @given(edits=FILE_EDITS)
+    @FUZZ_SETTINGS
+    def test_mutated_file_loads_or_raises_format_error(self, tmp_path, edits):
+        path = tmp_path / "w.fgn"
+        tiny = model.NetworkConfig(conv_layers=1, filters=1, height=3, width=3)
+        model.save_weights(model.build(tiny), path)
+        path.write_bytes(mutate(path.read_bytes(), edits))
+        try:
+            model.load_weights(path)
+        except WeightsFormatError:
+            pass
 
     def test_trailing_data_rejected(self, tmp_path):
         path = tmp_path / "w.fgn"

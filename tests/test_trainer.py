@@ -188,6 +188,23 @@ class TestTrain:
         for name, tensor in net.state_tensors().items():
             assert np.array_equal(tensor, before[name]), name
 
+    def test_one_value_per_channel_aborts_before_updates(self, tmp_path):
+        """4 layers make a 9 px frame a 1x1 final map, so batch 2 on 3 frames
+        would leave the last batch's batch norm 1 value per channel, after
+        the first batch's update."""
+        manifest = data.generate_synthetic(2, 2, 9, 0, tmp_path)
+        three = data.DatasetManifest(manifest.rows[:3], "train")
+        net = model.build(model.NetworkConfig(conv_layers=4, filters=2, height=9, width=9))
+        before = {k: v.copy() for k, v in net.state_tensors().items()}
+        with pytest.raises(
+            ContractError, match=r"^batch size 2 on 3 training frames .* final 1x1 map"
+        ):
+            trainer.train(net, three, manifest, quick_config(batch_size=2))
+        for name, tensor in net.state_tensors().items():
+            assert np.array_equal(tensor, before[name]), name
+        _, records, _ = trainer.train(net, three, manifest, quick_config(batch_size=3))
+        assert len(records) == 2
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_gradient_names_its_batch(self, synth_root):
         _, manifests = synth_root
