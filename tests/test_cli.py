@@ -586,15 +586,21 @@ def test_usage_error_comes_before_out(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "command", ["gen-synth", "train", "eval", "ablate"]
+    "command", ["gen-synth", "train", "eval-frame", "eval-video", "ablate"]
 )
 def test_run_lists_every_file_it_wrote(cli_run, tmp_path, command):
     root, train_out = cli_run
     train, val, test = (str(root / s / "manifest.csv") for s in ("train", "val", "test"))
+    # eval-frame runs the network over the test frames; eval-video scores the
+    # prediction log that run wrote. Both report frame and video level.
+    evaluate = ["eval", "--weights", str(train_out / "weights.fgn"), "--manifest", test]
+    if command == "eval-video":
+        assert cli.main([*evaluate, "--out", str(tmp_path / "frames")]) == 0
     argv = {
         "gen-synth": ["gen-synth", "--videos", "2", "--frames", "2", "--size", "12"],
-        "eval": ["eval", "--weights", str(train_out / "weights.fgn"), "--manifest", test,
-                 "--histogram", "vid0001"],
+        "eval-frame": [*evaluate, "--histogram", "vid0001"],
+        "eval-video": ["eval", "--predictions", str(tmp_path / "frames" / "predictions.csv"),
+                       "--histogram", "vid0001"],
         "ablate": ["ablate", "--axis", "layers", "--values", "1", "--epochs", "1",
                    "--filters", "2", "--size", "24", "--batch", "16",
                    "--manifest", train, "--val-manifest", val, "--test-manifest", test],
