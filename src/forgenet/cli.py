@@ -162,8 +162,8 @@ def cmd_train(args: argparse.Namespace) -> Run | None:
         "training": dataclasses.asdict(train_config),
         "stop_reason": stop_reason,
     }
-    # One per epoch run; a glob of --out would also find an earlier run's.
-    checkpoints = [out / f"checkpoint.epoch{r.epoch}" for r in records if args.checkpoints]
+    # The ones this run wrote; a glob of --out would also find an earlier run's.
+    checkpoints = [Path(r.checkpoint) for r in records if r.checkpoint]
     return Run(out, config, args.seed, [weights_path, metrics_path, *checkpoints])
 
 

@@ -7,7 +7,8 @@ upstream concerns. Labels are 0 = original, 1 = fake.
 
 Every CSV the package writes goes through `write_csv`, every output but PPM
 frames through `write_atomic`, and every CSV it reads (manifests and
-prediction logs, one row per frame) through `read_frame_rows`.
+prediction logs, one row per frame) through `read_frame_rows`. Such a file
+is read by `open_text`, whose errors name the file and the line.
 
 The synthetic generator produces desk-scale stand-in data with the same
 layout: per-video smooth color gradients, where fake videos additionally
@@ -22,6 +23,7 @@ import mmap
 import os
 from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,21 +81,23 @@ def write_csv(path, header: list[str], rows: Iterable[Sequence]) -> None:
     write_atomic(path, text.getvalue().encode("utf-8"))
 
 
-def read_text(path) -> str:
-    """The UTF-8 text of the file at `path`. A file that is not UTF-8 raises
-    ManifestError naming it and the 1-based line of its first bad byte."""
+@contextmanager
+def open_text(path) -> Iterator[str]:
+    """The UTF-8 text of the manifest or prediction log at `path`. Each
+    ManifestError raised in the block, and one for the first byte that is not
+    UTF-8, is prefixed `<path>: `. That byte's line is counted as
+    `read_frame_rows` counts lines."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        # The text layer's error need not give a file offset, so the bytes
-        # are decoded whole to place the bad byte.
         data = Path(path).read_bytes()
         try:
-            data.decode("utf-8")
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise ManifestError(f"{path}: line {line}: not UTF-8 text") from None
-        raise  # the file changed between the two reads
+            head = data[: exc.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise ManifestError(f"line {line}: not UTF-8 text") from None
+        yield text
+    except ManifestError as exc:
+        raise ManifestError(f"{path}: {exc}") from None
 
 
 def read_frame_rows(
@@ -101,13 +105,14 @@ def read_frame_rows(
 ) -> Iterator[tuple[int, list[str], int, int]]:
     """Yield (line_no, record, frame_index, label) for each non-blank record
     of CSV text with one row per frame: a manifest or a prediction log.
+    A line ends at "\\n", "\\r\\n" or a lone "\\r", each read as "\\n".
 
     The first record must equal `header`; `empty` is the message for text
     without one. Every later record must have as many fields, an integer
     frame_index, a (video_id, frame_index) no earlier row has, and a
     `label_column` of exactly 0 or 1 that its video's earlier rows share.
     Else ManifestError names the physical 1-based line the record starts on."""
-    reader = csv.reader(io.StringIO(source))
+    reader = csv.reader(io.StringIO(source, newline=None))
     width = len(header)
     video_col, frame_col = header.index("video_id"), header.index("frame_index")
     label_col = header.index(label_column)
@@ -176,7 +181,8 @@ def parse_manifest(source: str, split: str = "train", directory: str = "") -> Da
 def read_manifest(path, split: str = "train") -> DatasetManifest:
     """Parse a manifest file; relative row paths are joined to its directory."""
     path = Path(path)
-    return parse_manifest(read_text(path), split, os.path.dirname(path))
+    with open_text(path) as text:
+        return parse_manifest(text, split, os.path.dirname(path))
 
 
 def write_manifest(manifest: DatasetManifest, path) -> None:
@@ -321,9 +327,10 @@ def make_batches(
 
 @dataclass
 class Batch:
+    """Decoded manifest rows; their video and frame stay in the manifest."""
+
     x: np.ndarray  # (b, 3, h, w) float32 in [0, 1]
     y: np.ndarray  # (b,) float32 labels
-    provenance: list[tuple[str, int]]  # (video_id, frame_index) per sample
 
 
 def assemble_batch(
@@ -351,11 +358,7 @@ def assemble_batch(
     else:
         for j in range(len(rows)):
             load(j)
-    return Batch(
-        x=out,
-        y=np.array([r.label for r in rows], dtype=np.float32),
-        provenance=[(r.video_id, r.frame_index) for r in rows],
-    )
+    return Batch(x=out, y=np.array([r.label for r in rows], dtype=np.float32))
 
 
 def _video_base(rng: np.random.Generator, size: int) -> tuple[np.ndarray, float]:

@@ -55,12 +55,17 @@ def classify(probability: float) -> int:
     return 0 if probability < THRESHOLD else 1
 
 
-def classify_batch(probabilities: np.ndarray) -> np.ndarray:
-    p = np.asarray(probabilities)
+def _probabilities(values) -> np.ndarray:
+    """`values` as an array, refused unless each is in [0, 1]."""
+    p = np.asarray(values)
     # Negated, so that a NaN, which fails every comparison, is rejected too.
     if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
         raise ContractError("probabilities out of [0,1]")
-    return (p >= THRESHOLD).astype(np.int64)
+    return p
+
+
+def classify_batch(probabilities: np.ndarray) -> np.ndarray:
+    return (_probabilities(probabilities) >= THRESHOLD).astype(np.int64)
 
 
 def _confusion(truths: np.ndarray, predicted: np.ndarray) -> ConfusionMatrix:
@@ -133,10 +138,7 @@ def video_metrics(
 
 def probability_histogram(records: list[PredictionRecord]) -> np.ndarray:
     """Counts over the HISTOGRAM_BINS bins of [0,1] (see the module doc)."""
-    probs = np.array([r.probability for r in records], dtype=np.float64)
-    # Negated, as in classify_batch, so that a NaN is rejected too.
-    if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):
-        raise ContractError("probabilities out of [0,1]")
+    probs = _probabilities(np.array([r.probability for r in records], np.float64))
     # Edges, not bins=10: numpy's arithmetic uniform binning misplaces some i/10.
     return np.histogram(probs, np.arange(HISTOGRAM_BINS + 1) / HISTOGRAM_BINS)[0]
 
@@ -156,11 +158,10 @@ def predict_manifest(
             out=model_mod.input_buffer(net, len(indices)),
         )
         probs, _ = model_mod.forward(net, batch.x, training=False)
-        for (video_id, frame_index), truth, p in zip(
-            batch.provenance, batch.y, probs
-        ):
+        for j, p in zip(indices, probs):
+            row = manifest.rows[j]
             records.append(
-                PredictionRecord(video_id, frame_index, int(truth), float(p))
+                PredictionRecord(row.video_id, row.frame_index, row.label, float(p))
             )
     return records
 
@@ -175,17 +176,18 @@ def write_predictions(records: list[PredictionRecord], path) -> None:
 def read_predictions(path) -> list[PredictionRecord]:
     """A prediction log's records in file order; ManifestError names a bad line."""
     records: list[PredictionRecord] = []
-    rows = data_mod.read_frame_rows(
-        data_mod.read_text(path), PREDICTIONS_HEADER, "truth", "empty prediction log"
-    )
-    for line_no, (video_id, _, _, text), frame_index, truth in rows:
-        try:
-            probability = float(text)
-        except ValueError:
-            raise ManifestError(f"line {line_no}: bad probability {text!r}") from None
-        if not 0.0 <= probability <= 1.0:
-            raise ManifestError(f"line {line_no}: probability out of [0,1], got {text!r}")
-        records.append(PredictionRecord(video_id, frame_index, truth, probability))
+    with data_mod.open_text(path) as source:
+        rows = data_mod.read_frame_rows(
+            source, PREDICTIONS_HEADER, "truth", "empty prediction log"
+        )
+        for line_no, (video_id, _, _, text), frame_index, truth in rows:
+            try:
+                probability = float(text)
+            except ValueError:
+                raise ManifestError(f"line {line_no}: bad probability {text!r}") from None
+            if not 0.0 <= probability <= 1.0:
+                raise ManifestError(f"line {line_no}: probability out of [0,1], got {text!r}")
+            records.append(PredictionRecord(video_id, frame_index, truth, probability))
     return records
 
 

@@ -28,11 +28,11 @@ from the heap after each and faulted back in by the next.
 - An inference forward folds each BN into its conv and writes the block
   outputs into `act0` and `act1` in turn.
 
-So every forward overwrites what the previous forward's cache views. Each
-forward bumps `Network.generation`, and backward refuses a cache of an
-earlier generation, as it refuses a cache it has already consumed: one
-`Network` serves one pass at a time. The workspace and the generation are
-not state: `state_tensors()`, the weights file and `==` leave them out.
+So every forward overwrites what the previous forward's cache views, and
+every backward the cache it reads. Each pass advances `Network.generation`,
+and backward refuses a cache of an earlier generation: one `Network` serves
+one pass at a time. The workspace and the generation are not state:
+`state_tensors()`, the weights file and `==` leave them out.
 Neither pass writes the image batch it is given, and probabilities and
 gradients are new arrays. `flatten` and `unflatten`, here, reshape the last
 block's output for the dense head; `layers.require_rank` checks ranks.
@@ -116,7 +116,7 @@ class Network:
     buffers: dict[str, np.ndarray] = field(
         default_factory=dict, repr=False, compare=False
     )
-    generation: int = field(default=0, repr=False, compare=False)  # forwards run
+    generation: int = field(default=0, repr=False, compare=False)  # passes run
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         """Every stored tensor in the weights-file schema order."""
@@ -225,7 +225,7 @@ class ForwardCache:
     """What backward reads of a training forward. `activations` holds the
     image batch, then each block's ReLU output: block i's conv input is
     activations[i] and its ReLU output activations[i + 1]. It serves one
-    backward, before the next forward on its net (`generation`)."""
+    backward, before the next pass on its net (`generation`)."""
 
     activations: list[np.ndarray]
     bn_caches: list[L.BatchNormCache]
@@ -282,25 +282,27 @@ def backward(
     """Gradients of the mean BCE loss for every tensor of `parameters()`.
 
     Starts from the fused sigmoid+BCE logit gradient of `bce_loss`, so the
-    sigmoid never appears as a separate backward step.
+    sigmoid never appears as a separate backward step. It advances
+    `net.generation` once the labels pass, before its first write, so a
+    backward refused for its labels leaves the cache usable.
     """
     if cache is None:
         raise ContractError("backward requires the cache of a training-mode forward")
     if cache.generation != net.generation:
         raise ContractError(
-            "backward: stale cache, a later forward on this net has overwritten it"
+            "backward: stale cache, consumed by an earlier backward or "
+            "overwritten by a later forward on this net"
         )
     p = cache.probs
     y = np.asarray(labels)
     if y.shape != p.shape:
         raise ContractError(f"labels shape {y.shape} != batch shape {p.shape}")
     _, d_logits = L.bce_loss(p, y)
+    net.generation += 1
 
-    acts, bn_caches = cache.activations, cache.bn_caches
-    if len(bn_caches) != len(net.convs):
-        raise ContractError("backward: cache already consumed by an earlier backward")
+    acts = cache.activations
     grads: dict[str, np.ndarray] = {}
-    top = acts.pop()
+    top = acts[-1]
     # The dense d_input goes into the last ReLU output, so its mask goes first.
     mask = top > 0
     d, grads["dense.weights"], grads["dense.bias"] = L.dense_backward(
@@ -310,7 +312,7 @@ def backward(
     for i in reversed(range(len(net.convs))):
         d = L.relu_backward(mask, d)
         d, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = L.batchnorm_backward(
-            bn_caches.pop(), net.bns[i], d
+            cache.bn_caches[i], net.bns[i], d
         )
         # Block 0's input is the image batch; nothing reads its gradient.
         # Past it, conv i's d_input goes where BN i's centred values were.
@@ -320,7 +322,7 @@ def backward(
             x, net.convs[i], d, input_grad=i > 0, out=out
         )
         # Block i - 1's ReLU output, positive exactly where its input is.
-        mask = acts.pop()
+        mask = x
     return grads
 
 

@@ -64,6 +64,7 @@ class EpochRecord:
     train_acc: float
     val_acc: float
     wall_time: float  # seconds; excluded from reproducibility comparisons
+    checkpoint: str | None = None  # the weights file written after this epoch
 
 
 def should_stop(val_history: list[float], delta: float) -> bool:
@@ -107,11 +108,12 @@ def train(
     expected = (net.config.height, net.config.width)
     data_mod.check_frame_sizes(expected, train_manifest, val_manifest)
     # Training BN needs 2 values per channel, and the last batch is the smallest.
-    last = len(train_manifest) % config.batch_size or config.batch_size
+    frames = len(train_manifest)
+    last = frames % config.batch_size or config.batch_size
     height, width = net.config.feature_height, net.config.feature_width
     if last * height * width < 2:
         raise ContractError(
-            f"batch size {config.batch_size} on {len(train_manifest)} training "
+            f"batch size {config.batch_size} on {frames} training "
             f"frames leaves a last batch of {last}, and over the final "
             f"{height}x{width} map batch norm needs >= 2 values per channel"
         )
@@ -119,14 +121,12 @@ def train(
     params = net.parameters()
     adam = AdamState(lr=config.lr)
     records: list[EpochRecord] = []
-    val_history: list[float] = []
     stop_reason = STOP_EPOCHS_EXHAUSTED
 
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
         loss_sum = 0.0
         correct = 0
-        seen = 0
         stats = 0.0  # per BN, the sum of batch (mean, var) times batch frames
         batches = data_mod.make_batches(
             train_manifest, config.batch_size, shuffle=True, seed=[config.seed, epoch]
@@ -144,24 +144,27 @@ def train(
             try:
                 adam_step(params, grads, adam)
             except NonFiniteGradientError as exc:
-                video_id, frame_index = batch.provenance[0]
+                first = train_manifest.rows[indices[0]]
                 raise NonFiniteGradientError(
                     f"epoch {epoch}, batch {position} (first sample: video "
-                    f"{video_id!r}, frame {frame_index}): {exc}"
+                    f"{first.video_id!r}, frame {first.frame_index}): {exc}"
                 ) from exc
             loss_sum += loss * n
             correct += int(
                 (eval_mod.classify_batch(probs) == batch.y.astype(int)).sum()
             )
-            seen += n
-        train_loss = loss_sum / seen
-        train_acc = correct / seen
-        for bn, (mean, var) in zip(net.bns, stats / seen):
+        train_loss = loss_sum / frames
+        train_acc = correct / frames
+        for bn, (mean, var) in zip(net.bns, stats / frames):
             bn.moving_mean[:], bn.moving_var[:] = mean, var
         val_acc = validation_accuracy(
             net, val_manifest, config.batch_size, config.loader_threads
         )
         wall = time.perf_counter() - started
+        checkpoint = None
+        if config.checkpoint_path is not None:
+            checkpoint = f"{config.checkpoint_path}.epoch{epoch}"
+            model_mod.save_weights(net, checkpoint)
         records.append(
             EpochRecord(
                 epoch=epoch,
@@ -169,6 +172,7 @@ def train(
                 train_acc=float(train_acc),
                 val_acc=float(val_acc),
                 wall_time=float(wall),
+                checkpoint=checkpoint,
             )
         )
         logger.info(
@@ -179,10 +183,7 @@ def train(
             val_acc,
             wall,
         )
-        if config.checkpoint_path is not None:
-            model_mod.save_weights(net, f"{config.checkpoint_path}.epoch{epoch}")
-        val_history.append(val_acc)
-        if should_stop(val_history, config.early_stop_delta):
+        if should_stop([r.val_acc for r in records], config.early_stop_delta):
             stop_reason = STOP_EARLY
             logger.info("early stop after epoch %d", epoch)
             break

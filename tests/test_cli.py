@@ -369,7 +369,7 @@ class TestEval:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert message in captured.err
+        assert f"error: {log}: {message}" in captured.err
 
     def test_predictions_and_weights_conflict(self, tmp_path):
         code = cli.main([
@@ -653,19 +653,36 @@ def test_unreadable_row_is_runtime_error(synth_root, cli_run, tmp_path, capsys):
     train = ["train", "--val-manifest", str(root / "val" / "manifest.csv"),
              "--layers", "2", "--filters", "2", "--size", "24", "--manifest"]
     runs = {
-        "log": (["eval", "--predictions", str(log)], "field larger than field limit"),
-        "long": ([*train, str(long_manifest)], "field larger than field limit"),
-        "nul-train": ([*train, str(nul_manifest)], "NUL byte in path"),
+        "log": (["eval", "--predictions", str(log)], log, "field larger than field limit"),
+        "long": ([*train, str(long_manifest)], long_manifest, "field larger than field limit"),
+        "nul-train": ([*train, str(nul_manifest)], nul_manifest, "NUL byte in path"),
         "nul-eval": (["eval", "--weights", str(train_out / "weights.fgn"),
-                      "--manifest", str(nul_manifest)], "NUL byte in path"),
+                      "--manifest", str(nul_manifest)], nul_manifest, "NUL byte in path"),
     }
-    for name, (argv, message) in runs.items():
+    for name, (argv, path, message) in runs.items():
         out = tmp_path / f"out-{name}"
         assert cli.main([*argv, "--out", str(out)]) == 1, name
         err = capsys.readouterr().err
-        assert err.startswith(f"error: line 2: {message}"), name
+        assert err.startswith(f"error: {path}: line 2: {message}"), name
         assert "Traceback" not in err
         assert not any(out.iterdir())
+
+
+def test_bad_val_manifest_row_names_that_file(synth_root, tmp_path, capsys):
+    """train reads two manifests; a bad row in the second names the second."""
+    root, _ = synth_root
+    val = tmp_path / "val.csv"
+    val.write_text("path,label,video_id,frame_index\na.ppm,0,v,0\nb.ppm,2,v,1\n")
+    out = tmp_path / "o"
+    assert cli.main([
+        "train", "--manifest", str(root / "train" / "manifest.csv"),
+        "--val-manifest", str(val), "--layers", "2", "--filters", "2",
+        "--size", "24", "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {val}: line 3: label must be 0 or 1, got '2'\n"
+    )
+    assert not any(out.iterdir())
 
 
 class TestTopLevel:

@@ -330,25 +330,27 @@ class TestPredictionLogIO:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("video,frame,truth,prob\n")
-        with pytest.raises(ManifestError, match="line 1"):
+        with pytest.raises(ManifestError, match="p.csv: line 1: bad header"):
             evaluator.read_predictions(path)
 
     def test_bad_truth_names_line(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("video_id,frame_index,truth,probability\nv,0,2,0.5\n")
-        with pytest.raises(ManifestError, match="line 2"):
+        with pytest.raises(ManifestError, match="p.csv: line 2: truth must be 0 or 1"):
             evaluator.read_predictions(path)
 
     def test_bad_frame_index_names_line(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("video_id,frame_index,truth,probability\nv,x,1,0.5\n")
-        with pytest.raises(ManifestError, match="line 2: bad frame_index 'x'"):
+        with pytest.raises(ManifestError, match="p.csv: line 2: bad frame_index 'x'"):
             evaluator.read_predictions(path)
 
     def test_out_of_range_probability_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("video_id,frame_index,truth,probability\nv,0,1,1.5\n")
-        with pytest.raises(ManifestError, match="probability"):
+        with pytest.raises(
+            ManifestError, match=r"p.csv: line 2: probability out of \[0,1\], got '1.5'"
+        ):
             evaluator.read_predictions(path)
 
     def test_repeated_frame_names_line_and_key(self, tmp_path):
@@ -360,7 +362,7 @@ class TestPredictionLogIO:
             "v,0,1,0.9\nv,1,1,0.2\nv,0,1,0.9\n"
         )
         with pytest.raises(
-            ManifestError, match=r"line 4: duplicate \(video_id, frame_index\) \('v', 0\)"
+            ManifestError, match=r"p.csv: line 4: duplicate \(video_id, frame_index\) \('v', 0\)"
         ):
             evaluator.read_predictions(path)
 
@@ -368,7 +370,7 @@ class TestPredictionLogIO:
         path = tmp_path / "p.csv"
         path.write_text("video_id,frame_index,truth,probability\nv,0,1,0.9\nv,1,0,0.1\n")
         with pytest.raises(
-            ManifestError, match="line 3: video 'v' has truth 1 on its earlier rows, "
+            ManifestError, match="p.csv: line 3: video 'v' has truth 1 on its earlier rows, "
             "this row has 0"
         ):
             evaluator.read_predictions(path)
@@ -384,7 +386,7 @@ class TestPredictionLogIO:
     def test_field_count_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("video_id,frame_index,truth,probability\nv,0,1\n")
-        with pytest.raises(ManifestError, match="4 fields"):
+        with pytest.raises(ManifestError, match="p.csv: line 2: expected 4 fields, got 3"):
             evaluator.read_predictions(path)
 
     @pytest.mark.parametrize("truth", [" 1", "+1", "01", "1.0"])
@@ -392,14 +394,18 @@ class TestPredictionLogIO:
         path = tmp_path / "p.csv"
         path.write_text(f"video_id,frame_index,truth,probability\nv,0,{truth},0.5\n")
         with pytest.raises(
-            ManifestError, match=rf"^line 2: truth must be 0 or 1, got '{re.escape(truth)}'$"
+            ManifestError,
+            match=rf"^{re.escape(str(path))}: line 2: truth must be 0 or 1, "
+            rf"got '{re.escape(truth)}'$",
         ):
             evaluator.read_predictions(path)
 
     def test_unparsable_probability_has_its_own_message(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("video_id,frame_index,truth,probability\nv,0,1,high\n")
-        with pytest.raises(ManifestError, match=r"^line 2: bad probability 'high'$"):
+        with pytest.raises(
+            ManifestError, match=rf"^{re.escape(str(path))}: line 2: bad probability 'high'$"
+        ):
             evaluator.read_predictions(path)
 
     def test_line_numbers_count_physical_lines(self, tmp_path):
@@ -408,13 +414,17 @@ class TestPredictionLogIO:
         path = tmp_path / "p.csv"
         evaluator.write_predictions([rec("two\nlines", 0, 1, 0.5)], path)
         path.write_text(path.read_text() + "v,0,2,0.5\n")
-        with pytest.raises(ManifestError, match="^line 4: truth must be 0 or 1"):
+        with pytest.raises(
+            ManifestError, match=rf"^{re.escape(str(path))}: line 4: truth must be 0 or 1"
+        ):
             evaluator.read_predictions(path)
 
     def test_field_over_the_csv_limit_names_line(self, tmp_path):
         path = tmp_path / "p.csv"
         evaluator.write_predictions([rec("v", 0, 1, 0.5), rec("w" * 200_000, 0, 1, 0.5)], path)
-        with pytest.raises(ManifestError, match=r"^line 3: field larger than field limit"):
+        with pytest.raises(
+            ManifestError, match=rf"^{re.escape(str(path))}: line 3: field larger than field limit"
+        ):
             evaluator.read_predictions(path)
 
     @given(edits=FILE_EDITS)

@@ -478,6 +478,41 @@ class TestBackward:
         with pytest.raises(ContractError, match="consumed"):
             model.backward(net, cache, y)
 
+    def test_refused_backward_writes_nothing(self, rng):
+        """A second backward on one cache, or a backward after a later
+        forward, is refused before it writes the workspace."""
+        net = model.build(SMALL)
+        a = rng.uniform(size=(2, 3, 12, 12)).astype(np.float32)
+        b = rng.uniform(size=(2, 3, 12, 12)).astype(np.float32)
+        y = np.array([0.0, 1.0], np.float32)
+        _, cache_a = model.forward(net, a, training=True)
+        model.backward(net, cache_a, y)
+        _, cache_b = model.forward(net, b, training=True)
+        workspace = {name: buf.copy() for name, buf in net.buffers.items()}
+        with pytest.raises(ContractError, match="stale cache, consumed"):
+            model.backward(net, cache_a, y)
+        for name, buf in net.buffers.items():
+            np.testing.assert_array_equal(buf, workspace[name], err_msg=name)
+        model.backward(net, cache_b, y)
+        with pytest.raises(ContractError, match="stale cache, consumed"):
+            model.backward(net, cache_b, y)
+
+    def test_backward_refused_for_its_labels_leaves_the_cache_usable(self, rng):
+        net, twin = model.build(SMALL), model.build(SMALL)
+        x = rng.uniform(size=(2, 3, 12, 12)).astype(np.float32)
+        y = np.array([0.0, 1.0], np.float32)
+        _, cache = model.forward(net, x, training=True)
+        with pytest.raises(ContractError, match="labels shape"):
+            model.backward(net, cache, np.zeros(3, np.float32))
+        with pytest.raises(ContractError, match="labels must be 0 or 1"):
+            model.backward(net, cache, np.array([0.0, 2.0], np.float32))
+        grads = model.backward(net, cache, y)
+        _, twin_cache = model.forward(twin, x, training=True)
+        expected = model.backward(twin, twin_cache, y)
+        assert grads.keys() == expected.keys()
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, expected[name], err_msg=name)
+
     def test_train_step_raises_no_floating_point_error(self, rng):
         config = model.NetworkConfig(conv_layers=3, height=32, width=32, seed=3)
         net = model.build(config)

@@ -81,6 +81,7 @@ class TestTrain:
         assert 0.0 <= records[0].train_acc <= 1.0
         assert 0.0 <= records[0].val_acc <= 1.0
         assert records[0].wall_time > 0.0
+        assert records[0].checkpoint is None
 
     def test_same_seed_bit_identical_records(self, synth_root):
         _, manifests = synth_root
@@ -233,10 +234,11 @@ class TestTrain:
         _, manifests = synth_root
         net = model.build(NET_CFG)
         prefix = tmp_path / "ck"
-        net, _, _ = trainer.train(
+        net, records, _ = trainer.train(
             net, manifests["train"], manifests["val"],
             quick_config(epochs=2, checkpoint_path=str(prefix)),
         )
+        assert [r.checkpoint for r in records] == [f"{prefix}.epoch1", f"{prefix}.epoch2"]
         for epoch in (1, 2):
             loaded = model.load_weights(f"{prefix}.epoch{epoch}")
             # The file stores every config field but the seed.
