@@ -79,10 +79,12 @@ def run_ablation(
     val_manifest: data_mod.DatasetManifest,
     test_manifest: data_mod.DatasetManifest,
 ) -> list[AblationRow]:
-    """One row per value of the axis. Every frame's size is checked before
-    the first point trains, as the spec checked every value's configs."""
-    size = (spec.base_net.height, spec.base_net.width)
-    data_mod.check_frame_sizes(size, train_manifest, val_manifest, test_manifest)
+    """One row per value of the axis. Every point's inputs, test set included,
+    pass the trainer's `check_inputs` before the first point trains."""
+    for net_cfg, train_cfg in spec.configs:
+        trainer_mod.check_inputs(
+            net_cfg, train_cfg, train_manifest, val_manifest, test_manifest
+        )
     rows: list[AblationRow] = []
     for value, (net_cfg, train_cfg) in zip(spec.values, spec.configs):
         started = time.perf_counter()

@@ -350,9 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level_name = os.environ.get("FORGENET_LOG", "WARNING").upper()
+    # An int only for a registered level name; any other value means WARNING.
+    level = logging.getLevelName(os.environ.get("FORGENET_LOG", "WARNING").upper())
     logging.basicConfig(
-        level=getattr(logging, level_name, logging.WARNING),
+        level=level if isinstance(level, int) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     parser = build_parser()

@@ -8,7 +8,9 @@ upstream concerns. Labels are 0 = original, 1 = fake.
 Every CSV the package writes goes through `write_csv`, every output but PPM
 frames through `write_atomic`, and every CSV it reads (manifests and
 prediction logs, one row per frame) through `read_frame_rows`. Such a file
-is read by `open_text`, whose errors name the file and the line.
+is read by `open_text`, whose errors name the file and the line, and one
+with a header and no rows is refused. A frame is read and checked one way,
+whether it is only sized (`frame_size`) or decoded (`load_image`).
 
 The synthetic generator produces desk-scale stand-in data with the same
 layout: per-video smooth color gradients, where fake videos additionally
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import io
-import mmap
 import os
 from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -101,17 +102,18 @@ def open_text(path) -> Iterator[str]:
 
 
 def read_frame_rows(
-    source: str, header: list[str], label_column: str, empty: str
+    source: str, header: list[str], label_column: str
 ) -> Iterator[tuple[int, list[str], int, int]]:
     """Yield (line_no, record, frame_index, label) for each non-blank record
     of CSV text with one row per frame: a manifest or a prediction log.
     A line ends at "\\n", "\\r\\n" or a lone "\\r", each read as "\\n".
 
-    The first record must equal `header`; `empty` is the message for text
-    without one. Every later record must have as many fields, an integer
+    The first record must equal `header`, and one record at least must
+    follow it. Every later record must have as many fields, an integer
     frame_index, a (video_id, frame_index) no earlier row has, and a
     `label_column` of exactly 0 or 1 that its video's earlier rows share.
-    Else ManifestError names the physical 1-based line the record starts on."""
+    Else ManifestError names the physical 1-based line the record starts on,
+    or the last line of text with no record after its header."""
     reader = csv.reader(io.StringIO(source, newline=None))
     width = len(header)
     video_col, frame_col = header.index("video_id"), header.index("frame_index")
@@ -120,9 +122,7 @@ def read_frame_rows(
     seen: set[tuple[str, int]] = set()
     video_labels: dict[str, int] = {}
     try:
-        if (first := next(reader, None)) is None:
-            raise ManifestError(f"line 1: {empty}")
-        if first != header:
+        if (first := next(reader, [])) != header:
             raise ManifestError(f"line 1: bad header {first!r}, expected {header!r}")
         end = reader.line_num
         for record in reader:
@@ -154,6 +154,8 @@ def read_frame_rows(
                     f"on its earlier rows, this row has {label_text}"
                 )
             yield line_no, record, frame_index, label
+        if not seen:
+            raise ManifestError(f"line {end}: no rows after the header")
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ManifestError(f"line {reader.line_num}: {exc}") from None
 
@@ -166,9 +168,7 @@ def parse_manifest(source: str, split: str = "train", directory: str = "") -> Da
     `read_frame_rows` refuses, and for an empty path or one with a NUL byte.
     """
     rows: list[ManifestRow] = []
-    records = read_frame_rows(
-        source, MANIFEST_HEADER, "label", "empty manifest, expected header"
-    )
+    records = read_frame_rows(source, MANIFEST_HEADER, "label")
     for line_no, (path, _, video_id, _), frame_index, label in records:
         if not path:
             raise ManifestError(f"line {line_no}: empty path")
@@ -210,9 +210,11 @@ def _next_token(data: bytes, pos: int, path) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def _ppm_header(data, path) -> tuple[int, int, int]:
-    """(height, width, raster offset) from the header of the binary PPM (P6,
-    maxval 255) in `data`: its bytes, or a memory map of its file."""
+def _read_ppm(path) -> tuple[bytes, int, int, int]:
+    """(bytes, height, width, raster offset) of the binary PPM (P6, maxval
+    255) at `path`, read whole. DecodeError names the path unless its header
+    is whole and its raster exactly 3 * width * height bytes long."""
+    data = Path(path).read_bytes()
     if data[:2] != b"P6":
         raise DecodeError(f"{path}: wrong magic {data[:2]!r}, expected b'P6'")
     pos = 2
@@ -230,36 +232,26 @@ def _ppm_header(data, path) -> tuple[int, int, int]:
         raise DecodeError(f"{path}: maxval must be 255, got {maxval}")
     if pos == len(data):  # no whitespace byte after maxval
         raise DecodeError(f"{path}: truncated PPM header")
-    return height, width, pos + 1  # single whitespace byte after maxval
-
-
-def _check_raster_length(length: int, height: int, width: int, path) -> None:
-    expected = 3 * width * height
+    pos += 1  # single whitespace byte after maxval
+    length, expected = len(data) - pos, 3 * width * height
     if length < expected:
-        raise DecodeError(
-            f"{path}: truncated pixel data ({length} of {expected} bytes)"
-        )
+        raise DecodeError(f"{path}: truncated pixel data ({length} of {expected} bytes)")
     if length > expected:
         raise DecodeError(f"{path}: {length - expected} trailing bytes")
+    return data, height, width, pos
 
 
 def frame_size(path) -> tuple[int, int]:
-    """(height, width) of a binary PPM frame, from its header and the file's
-    length: the file is memory-mapped and only the header's pages are read,
-    so every frame of a manifest can be checked before any is decoded."""
-    with open(path, "rb") as fh:
-        length = os.fstat(fh.fileno()).st_size
-        if length == 0:
-            raise DecodeError(f"{path}: empty file")
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
-            height, width, pos = _ppm_header(data, path)
-    _check_raster_length(length - pos, height, width, path)
+    """(height, width) of a binary PPM frame, checked as `load_image` checks
+    it but not decoded, so that every frame of a manifest can be checked
+    before the first is. The file is read whole."""
+    _, height, width, _ = _read_ppm(path)
     return height, width
 
 
 def check_frame_sizes(expected: tuple[int, int], *manifests: DatasetManifest) -> None:
-    """Reads the header of every frame, and no raster, so that a frame whose
-    (height, width) is not `expected` fails a run before its first batch."""
+    """Reads and checks every frame, decoding none, so that a bad frame or one
+    whose (height, width) is not `expected` fails a run before its first batch."""
     for manifest in manifests:
         for row in manifest.rows:
             size = frame_size(row.path)
@@ -275,9 +267,7 @@ def load_image(path, out: np.ndarray | None = None) -> np.ndarray:
     [0,1], channels R, G, B: into `out` when given (a C-contiguous float32
     array of that shape, or ShapeError naming the path), else into a new
     array."""
-    data = Path(path).read_bytes()
-    height, width, pos = _ppm_header(data, path)
-    _check_raster_length(len(data) - pos, height, width, path)
+    data, height, width, pos = _read_ppm(path)
     shape = (1, 3, height, width)
     if out is None:
         out = np.empty(shape, np.float32)

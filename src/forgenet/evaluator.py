@@ -50,9 +50,7 @@ class VideoVerdict:
 
 def classify(probability: float) -> int:
     """0 (original) iff probability < 0.5; the boundary 0.5 is fake."""
-    if not 0.0 <= probability <= 1.0:
-        raise ContractError(f"probability out of [0,1]: {probability}")
-    return 0 if probability < THRESHOLD else 1
+    return int(classify_batch(probability))
 
 
 def _probabilities(values) -> np.ndarray:
@@ -103,7 +101,7 @@ def majority_vote(records: list[PredictionRecord]) -> VideoVerdict:
             )
         if r.truth != truth:
             raise ContractError(f"majority_vote: conflicting truth labels in {video_id!r}")
-    votes_fake = sum(classify(r.probability) for r in records)
+    votes_fake = int(classify_batch([r.probability for r in records]).sum())
     votes_original = len(records) - votes_fake
     predicted = 1 if votes_fake >= votes_original else 0
     return VideoVerdict(
@@ -177,9 +175,7 @@ def read_predictions(path) -> list[PredictionRecord]:
     """A prediction log's records in file order; ManifestError names a bad line."""
     records: list[PredictionRecord] = []
     with data_mod.open_text(path) as source:
-        rows = data_mod.read_frame_rows(
-            source, PREDICTIONS_HEADER, "truth", "empty prediction log"
-        )
+        rows = data_mod.read_frame_rows(source, PREDICTIONS_HEADER, "truth")
         for line_no, (video_id, _, _, text), frame_index, truth in rows:
             try:
                 probability = float(text)

@@ -8,6 +8,9 @@ and biased batch variances, averaged over the epoch's frames. Validation
 runs in inference mode and never touches network state. Early stopping
 compares the last two validation accuracies: training stops once they
 differ by less than the configured delta.
+
+`check_inputs` refuses a bad input before the first step; `train` calls it,
+and an ablation sweep calls it for every point before the first trains.
 """
 
 from __future__ import annotations
@@ -89,28 +92,22 @@ def validation_accuracy(
     return accuracy
 
 
-def train(
-    net: model_mod.Network,
-    train_manifest: data_mod.DatasetManifest,
-    val_manifest: data_mod.DatasetManifest,
-    config: TrainConfig,
-) -> tuple[model_mod.Network, list[EpochRecord], str]:
-    """Run up to config.epochs of Adam updates; returns the trained network,
-    one record per completed epoch, and why training stopped. A non-finite
-    gradient stops training with an error that names its epoch, its batch
-    and the batch's first (video_id, frame_index). A batch size whose last
-    batch would leave batch norm one value per channel is refused before
-    the first step."""
-    if not train_manifest.rows:
-        raise ContractError("train: empty training manifest")
-    if not val_manifest.rows:
-        raise ContractError("train: empty validation manifest")
-    expected = (net.config.height, net.config.width)
-    data_mod.check_frame_sizes(expected, train_manifest, val_manifest)
+def check_inputs(
+    net_config: model_mod.NetworkConfig, config: TrainConfig,
+    train_manifest: data_mod.DatasetManifest, *manifests: data_mod.DatasetManifest,
+) -> None:
+    """Refuse what `train` could not finish: an empty manifest, a frame not of
+    the input size (both also in `manifests`, the other sets a run scores), or
+    a last batch that leaves batch norm one value per channel."""
+    for manifest in (train_manifest, *manifests):
+        if not manifest.rows:
+            raise ContractError(f"empty {manifest.split} manifest")
+    expected = (net_config.height, net_config.width)
+    data_mod.check_frame_sizes(expected, train_manifest, *manifests)
     # Training BN needs 2 values per channel, and the last batch is the smallest.
     frames = len(train_manifest)
     last = frames % config.batch_size or config.batch_size
-    height, width = net.config.feature_height, net.config.feature_width
+    height, width = net_config.feature_height, net_config.feature_width
     if last * height * width < 2:
         raise ContractError(
             f"batch size {config.batch_size} on {frames} training "
@@ -118,6 +115,20 @@ def train(
             f"{height}x{width} map batch norm needs >= 2 values per channel"
         )
 
+
+def train(
+    net: model_mod.Network,
+    train_manifest: data_mod.DatasetManifest,
+    val_manifest: data_mod.DatasetManifest,
+    config: TrainConfig,
+) -> tuple[model_mod.Network, list[EpochRecord], str]:
+    """Run up to config.epochs of Adam updates; returns the trained network,
+    one record per completed epoch, and why training stopped. `check_inputs`
+    refuses a bad input before the first step. A non-finite gradient stops
+    training with an error that names its epoch, its batch and the batch's
+    first (video_id, frame_index)."""
+    check_inputs(net.config, config, train_manifest, val_manifest)
+    frames = len(train_manifest)
     params = net.parameters()
     adam = AdamState(lr=config.lr)
     records: list[EpochRecord] = []

@@ -1,7 +1,7 @@
 import pytest
 
 from forgenet import ablation, data, evaluator, model, trainer
-from forgenet.errors import ConfigError, ShapeError
+from forgenet.errors import ConfigError, ContractError, ShapeError
 
 NET_CFG = model.NetworkConfig(conv_layers=2, filters=2, height=24, width=24, seed=3)
 TRAIN_CFG = trainer.TrainConfig(epochs=1, batch_size=16, early_stop_delta=0.0)
@@ -120,8 +120,8 @@ class TestRunAblation:
 
 
 class TestRefusesBeforeTraining:
-    """A sweep with a bad value or a frame of the wrong size fails before
-    its first point takes an Adam step."""
+    """A sweep with a bad value, or an input that `train` would refuse at
+    any of its points, fails before its first point trains."""
 
     @pytest.fixture
     def steps(self, monkeypatch):
@@ -144,6 +144,41 @@ class TestRefusesBeforeTraining:
         with pytest.raises(ShapeError, match="test"):
             ablation.run_ablation(spec, train, val, test)
         assert not steps
+
+    @pytest.fixture
+    def trains(self, monkeypatch):
+        calls = []
+        train = trainer.train
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "train", counted)
+        return calls
+
+    def test_later_point_leaving_one_value_per_channel(self, tmp_path, trains):
+        """4 layers make a 9 px frame a 1x1 final map, so batch 16 on 17
+        frames leaves the last batch's batch norm 1 value per channel; 2
+        layers leave a 5x5 map, so the first point alone would train."""
+        manifest = data.generate_synthetic(2, 9, 9, 1, tmp_path)
+        seventeen = data.DatasetManifest(manifest.rows[:17], "train")
+        net = model.NetworkConfig(conv_layers=2, filters=2, height=9, width=9)
+        spec = ablation.AblationSpec("layers", (2, 4), net, TRAIN_CFG)
+        with pytest.raises(
+            ContractError, match=r"^batch size 16 on 17 training frames .* final 1x1 map"
+        ):
+            ablation.run_ablation(spec, seventeen, manifest, manifest)
+        assert not trains
+
+    def test_empty_test_manifest(self, synth_root, trains):
+        _, manifests = synth_root
+        with pytest.raises(ContractError, match="^empty test manifest"):
+            ablation.run_ablation(
+                spec_for("filters", (1, 2)), manifests["train"], manifests["val"],
+                data.DatasetManifest([], "test"),
+            )
+        assert not trains
 
     def test_invalid_later_value(self, synth_root, steps):
         _, manifests = synth_root

@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,19 @@ import pytest
 from forgenet import cli, data, evaluator, model, trainer
 from forgenet.errors import NonFiniteGradientError
 from forgenet.evaluator import PredictionRecord
+
+
+def run_cli(argv: list[str], **env: str) -> subprocess.CompletedProcess:
+    """The forgenet command in a fresh process, with `env` added. Under
+    pytest the root logger already has handlers, so only a fresh process
+    configures logging from FORGENET_LOG as a user's shell does."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "forgenet.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -536,6 +552,29 @@ class TestAblate:
         }
         assert trained["training"] == ablated["training"]
 
+    def test_point_refused_before_any_trains(self, tmp_path):
+        """4 layers make a 9 px frame a 1x1 final map, so batch 16 on 17
+        frames leaves the last batch's batch norm 1 value per channel. The
+        sweep is refused before its 2-layer point logs an epoch."""
+        manifest = data.generate_synthetic(2, 9, 9, 1, tmp_path / "d")
+        seventeen = tmp_path / "seventeen.csv"
+        data.write_manifest(data.DatasetManifest(manifest.rows[:17], "train"), seventeen)
+        every = str(tmp_path / "d" / "manifest.csv")
+        out = tmp_path / "o"
+        result = run_cli([
+            "ablate", "--axis", "layers", "--values", "2,4", "--batch", "16",
+            "--size", "9", "--filters", "2", "--epochs", "1",
+            "--manifest", str(seventeen), "--val-manifest", every,
+            "--test-manifest", every, "--out", str(out),
+        ], FORGENET_LOG="INFO")
+        assert result.returncode == 1
+        # The whole of stderr: no epoch line, and no traceback.
+        assert result.stderr == (
+            "error: batch size 16 on 17 training frames leaves a last batch of 1, "
+            "and over the final 1x1 map batch norm needs >= 2 values per channel\n"
+        )
+        assert not (out / "ablation_layers.csv").exists()
+
     def test_unknown_axis_is_usage_error(self, tmp_path):
         code = cli.main([
             "ablate", "--axis", "dropout", "--values", "1,2",
@@ -685,7 +724,41 @@ def test_bad_val_manifest_row_names_that_file(synth_root, tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+def test_header_only_input_names_its_file(synth_root, cli_run, tmp_path, capsys):
+    """A manifest or prediction log with a header and no rows, as each
+    command reads it; ablate refuses it before its first point trains."""
+    root, train_out = cli_run
+    log = tmp_path / "log.csv"
+    log.write_text("video_id,frame_index,truth,probability\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label,video_id,frame_index\n")
+    val = str(root / "val" / "manifest.csv")
+    net = ["--layers", "2", "--filters", "2", "--size", "24", "--epochs", "1"]
+    runs = {
+        "eval-log": ["eval", "--predictions", str(log)],
+        "eval-manifest": ["eval", "--weights", str(train_out / "weights.fgn"),
+                          "--manifest", str(manifest)],
+        "train": ["train", "--manifest", str(manifest), "--val-manifest", val, *net],
+        "ablate": ["ablate", "--axis", "filters", "--values", "1,2", *net,
+                   "--manifest", str(root / "train" / "manifest.csv"),
+                   "--val-manifest", val, "--test-manifest", str(manifest)],
+    }
+    for name, argv in runs.items():
+        path = log if name == "eval-log" else manifest
+        out = tmp_path / f"out-{name}"
+        assert cli.main([*argv, "--out", str(out)]) == 1, name
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 1: no rows after the header\n"
+        ), name
+        assert not any(out.iterdir()), name
+
+
 class TestTopLevel:
+    def test_log_variable_naming_no_level_means_warning(self):
+        """BASIC_FORMAT is a logging attribute, a format string, not a level."""
+        result = run_cli(["train", "--print-params"], FORGENET_LOG="BASIC_FORMAT")
+        assert (result.returncode, result.stdout, result.stderr) == (0, "58221\n", "")
+
     def test_version_flag(self, capsys):
         assert cli.main(["--version"]) == 0
         assert "forgenet" in capsys.readouterr().out

@@ -87,6 +87,11 @@ class TestParseManifest:
         with pytest.raises(ManifestError, match="line 1"):
             data.parse_manifest("")
 
+    @pytest.mark.parametrize("tail,line", [("", 1), ("\n\n", 3)])
+    def test_header_without_rows_names_the_last_line(self, tail, line):
+        with pytest.raises(ManifestError, match=f"^line {line}: no rows after the header$"):
+            data.parse_manifest("path,label,video_id,frame_index\n" + tail)
+
     def test_bad_label_names_line(self):
         text = GOOD_MANIFEST + "a/2.ppm,2,vidC,0\n"
         with pytest.raises(ManifestError, match="line 4"):
@@ -314,7 +319,7 @@ class TestLoadImage:
         assert data.frame_size(path) == (2, 3)
 
     @pytest.mark.parametrize("match,blob", [
-        ("empty", b""),
+        ("magic", b""),
         ("magic", b"P5\n1 1\n255\n\xff"),
         ("truncated", b"P6\n2 2\n255\n" + b"\xff" * 7),
         ("trailing", b"P6\n1 1\n255\n" + b"\xff" * 5),
@@ -322,8 +327,11 @@ class TestLoadImage:
     def test_frame_size_rejects_what_load_image_rejects(self, tmp_path, match, blob):
         path = tmp_path / "bad.ppm"
         path.write_bytes(blob)
-        with pytest.raises(DecodeError, match=match):
+        with pytest.raises(DecodeError, match=match) as sized:
             data.frame_size(path)
+        with pytest.raises(DecodeError) as loaded:
+            data.load_image(path)
+        assert str(sized.value) == str(loaded.value)
 
     @pytest.mark.parametrize("decode", [data.frame_size, data.load_image])
     def test_truncated_header_names_its_path(self, tmp_path, decode):

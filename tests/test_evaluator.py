@@ -138,6 +138,11 @@ class TestMajorityVote:
         with pytest.raises(ContractError):
             evaluator.majority_vote([])
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+    def test_bad_probability_rejected(self, bad):
+        with pytest.raises(ContractError):
+            evaluator.majority_vote([rec("v", 0, 1, 0.9), rec("v", 1, 1, bad)])
+
 
 def random_prediction_log(rng, videos):
     """Multi-video log with random frame counts, labels, and probabilities."""
