@@ -122,7 +122,6 @@ def _configs(
         lr=args.lr,
         early_stop_delta=args.early_stop,
         seed=args.seed,
-        loader_threads=args.threads,
     )
     return net_config, train_config
 
@@ -173,7 +172,7 @@ def _eval_records(args: argparse.Namespace) -> list[eval_mod.PredictionRecord]:
     net = model_mod.load_weights(args.weights)
     manifest = data_mod.read_manifest(args.manifest, split="test")
     data_mod.check_frame_sizes((net.config.height, net.config.width), manifest)
-    return eval_mod.predict_manifest(net, manifest, args.batch, args.threads)
+    return eval_mod.predict_manifest(net, manifest, args.batch)
 
 
 def cmd_eval(args: argparse.Namespace) -> Run:
@@ -181,9 +180,8 @@ def cmd_eval(args: argparse.Namespace) -> Run:
         raise ConfigError("eval takes --predictions or --weights and --manifest, not both")
     if not (args.predictions or (args.weights and args.manifest)):
         raise ConfigError("eval requires --weights and --manifest, or --predictions")
-    for flag, value in (("--batch", args.batch), ("--threads", args.threads)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    if args.batch < 1:
+        raise ConfigError(f"--batch must be >= 1, got {args.batch}")
     out = _prepare_out(args.out)
     records = _eval_records(args)
     # Every figure is computed before the first file is written, so a log
@@ -306,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--lr", type=float, default=0.001)
     shared.add_argument("--early-stop", type=float, default=0.01)
     shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--threads", type=int, default=1)
     shared.add_argument("--epochs", type=int, default=10)
 
     train = sub.add_parser("train", parents=[shared], help="train a detector")
@@ -331,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--predictions", help="score a previously written prediction log")
     ev.add_argument("--histogram", metavar="VIDEO_ID")
     ev.add_argument("--batch", type=int, default=128)
-    ev.add_argument("--threads", type=int, default=1)
     ev.add_argument("--out", required=True)
     ev.set_defaults(func=cmd_eval)
 

@@ -213,16 +213,20 @@ def _next_token(data: bytes, pos: int, path) -> tuple[bytes, int]:
 def _read_ppm(path) -> tuple[bytes, int, int, int]:
     """(bytes, height, width, raster offset) of the binary PPM (P6, maxval
     255) at `path`, read whole. DecodeError names the path unless its header
-    is whole and its raster exactly 3 * width * height bytes long."""
+    is whole ASCII decimal and its raster exactly 3 * width * height bytes."""
     data = Path(path).read_bytes()
     if data[:2] != b"P6":
         raise DecodeError(f"{path}: wrong magic {data[:2]!r}, expected b'P6'")
+    if len(data) > 2 and data[2] not in b" \t\r\n#":  # else "P61" is width 1
+        raise DecodeError(f"{path}: bad header token {_next_token(data, 0, path)[0]!r}")
     pos = 2
     fields = []
     for _ in range(3):
         token, pos = _next_token(data, pos, path)
         try:
-            fields.append(int(token))
+            if not token.isdigit():  # int() would also take a sign and "_"
+                raise ValueError(token)
+            fields.append(int(token))  # ValueError past int()'s digit limit
         except ValueError:
             raise DecodeError(f"{path}: bad header token {token!r}") from None
     width, height, maxval = fields
@@ -295,10 +299,9 @@ def write_ppm(pixels: np.ndarray, path) -> None:
         fh.write(bytes_img.transpose(1, 2, 0).tobytes())
 
 
-def make_batches(
-    manifest: DatasetManifest, batch_size: int, shuffle: bool, seed
-) -> list[list[int]]:
-    """Partition row indices into consecutive batches; optional seeded shuffle.
+def make_batches(manifest: DatasetManifest, batch_size: int, seed=None) -> list[list[int]]:
+    """Partition row indices into consecutive batches, in file order or, given
+    a seed, in the order of `np.random.default_rng(seed).permutation`.
 
     All batches have batch_size rows except possibly the last. The
     permutation depends only on the seed, not on batch_size, so sweeps
@@ -310,12 +313,12 @@ def make_batches(
     if n == 0:
         raise ContractError("cannot batch an empty manifest")
     indices = np.arange(n)
-    if shuffle:
+    if seed is not None:
         indices = np.random.default_rng(seed).permutation(n)
     return [indices[i : i + batch_size].tolist() for i in range(0, n, batch_size)]
 
 
-@dataclass
+@dataclass(eq=False)
 class Batch:
     """Decoded manifest rows; their video and frame stay in the manifest."""
 

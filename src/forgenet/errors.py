@@ -15,15 +15,11 @@ class ShapeError(ForgenetError, ValueError):
 
 class ContractError(ForgenetError, ValueError):
     """An operation was called in a way its contract forbids (empty input,
-    mixed video ids, stale cache, ...)."""
+    mixed video ids, stale cache, one value per training BN channel, ...)."""
 
 
 class ConfigError(ForgenetError, ValueError):
     """Invalid network or training configuration."""
-
-
-class DegenerateBatchError(ForgenetError, ValueError):
-    """Batch statistics cannot be formed: a channel has fewer than 2 values."""
 
 
 class NonFiniteGradientError(ForgenetError, FloatingPointError):

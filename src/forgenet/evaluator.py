@@ -33,7 +33,7 @@ class PredictionRecord:
     probability: float
 
 
-@dataclass
+@dataclass(eq=False)
 class ConfusionMatrix:
     counts: np.ndarray  # (2, 2) int64
     rates: np.ndarray  # (2, 2) float64, rows normalized; all-zero row stays zero
@@ -150,7 +150,7 @@ def predict_manifest(
     """Inference-mode pass over a manifest, in manifest order. Each batch is
     decoded into the net's batch buffer."""
     records: list[PredictionRecord] = []
-    for indices in data_mod.make_batches(manifest, batch_size, shuffle=False, seed=0):
+    for indices in data_mod.make_batches(manifest, batch_size):
         batch = data_mod.assemble_batch(
             manifest, indices, threads=threads,
             out=model_mod.input_buffer(net, len(indices)),

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateBatchError, ShapeError
+from .errors import ContractError, ShapeError
 
 KERNEL = 3
 
@@ -52,7 +52,7 @@ BN_EPSILON = 1e-3  # added to the variance before its square root
 PROB_CLAMP = 1e-7
 
 
-@dataclass
+@dataclass(eq=False)
 class ConvLayer:
     weights: np.ndarray  # (filters, in_channels, 3, 3)
     bias: np.ndarray  # (filters,)
@@ -66,7 +66,7 @@ class ConvLayer:
         return self.weights.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class BatchNormLayer:
     gamma: np.ndarray  # (channels,)
     beta: np.ndarray  # (channels,)
@@ -78,7 +78,7 @@ class BatchNormLayer:
         return self.gamma.shape[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class DenseLayer:
     weights: np.ndarray  # (in_features, 1)
     bias: np.ndarray  # (1,); scalar bias kept as a length-1 array
@@ -88,7 +88,7 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class BatchNormCache:
     centred: np.ndarray  # the input less its channel means
     mean: np.ndarray
@@ -155,8 +155,11 @@ def _patches(
     sample's rows in turn; the rest is never written. Each row's 2 trailing
     zeros are also the next row's left padding, and the view starts at the
     last 2 zeros of row 0, so the same view formula reads the sample padded
-    by 2. Only a pad of 2 lays out this way. Every patch matrix is a view of
-    one buffer, overwritten by the next.
+    by 2. Only a pad of 2 lays out this way. That pitch is also the output
+    width, so each (c, dy, dx) plane of a band is one contiguous run of the
+    grid and the copy moves one block per plane: a plain (h + 4, w + 4)
+    grid made conv backward 17% slower (see README). Every patch matrix is
+    a view of one buffer, overwritten by the next.
     """
     n, c, h, w = x.shape
     grow = KERNEL - 1 if pad else 1 - KERNEL
@@ -298,7 +301,7 @@ def batchnorm_forward(
     if c != layer.channels:
         raise ShapeError(f"batchnorm input has {c} channels, layer has {layer.channels}")
     if n * h * w < 2:
-        raise DegenerateBatchError(
+        raise ContractError(
             f"batchnorm training mode needs >= 2 samples per channel, got {n * h * w}"
         )
     out = _output(out, x.shape, x.dtype, "batchnorm output")

@@ -32,7 +32,8 @@ So every forward overwrites what the previous forward's cache views, and
 every backward the cache it reads. Each pass advances `Network.generation`,
 and backward refuses a cache of an earlier generation: one `Network` serves
 one pass at a time. The workspace and the generation are not state:
-`state_tensors()`, the weights file and `==` leave them out.
+`state_tensors()` and the weights file leave them out, and a `Network`
+equals only itself: compare two by their `state_tensors()`.
 Neither pass writes the image batch it is given, and probabilities and
 gradients are new arrays. `flatten` and `unflatten`, here, reshape the last
 block's output for the dense head; `layers.require_rank` checks ranks.
@@ -105,7 +106,7 @@ class NetworkConfig:
         return self.filters * self.feature_height * self.feature_width
 
 
-@dataclass
+@dataclass(eq=False)
 class Network:
     config: NetworkConfig
     convs: list[L.ConvLayer]
@@ -113,10 +114,8 @@ class Network:
     dense: L.DenseLayer
     # The workspace by name, flat arrays viewed at the front (see `_buffer`):
     # "batch", the decoded frames, and per block i "conv{i}" and "act{i}".
-    buffers: dict[str, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    generation: int = field(default=0, repr=False, compare=False)  # passes run
+    buffers: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    generation: int = field(default=0, repr=False)  # passes run
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         """Every stored tensor in the weights-file schema order."""
@@ -220,7 +219,7 @@ def unflatten(x2: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return x2.reshape(shape)
 
 
-@dataclass
+@dataclass(eq=False)
 class ForwardCache:
     """What backward reads of a training forward. `activations` holds the
     image batch, then each block's ReLU output: block i's conv input is

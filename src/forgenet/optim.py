@@ -25,7 +25,7 @@ ADAM_BETA2 = 0.999  # decay of the second-moment estimate
 ADAM_EPSILON = 1e-8  # added to sqrt(v_hat) in the denominator
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
     lr: float = 0.001
     t: int = 0

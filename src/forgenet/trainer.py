@@ -140,7 +140,7 @@ def train(
         correct = 0
         stats = 0.0  # per BN, the sum of batch (mean, var) times batch frames
         batches = data_mod.make_batches(
-            train_manifest, config.batch_size, shuffle=True, seed=[config.seed, epoch]
+            train_manifest, config.batch_size, seed=[config.seed, epoch]
         )
         for position, indices in enumerate(batches, start=1):
             n = len(indices)

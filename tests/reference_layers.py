@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from forgenet.errors import ContractError, DegenerateBatchError, ShapeError
+from forgenet.errors import ContractError, ShapeError
 from forgenet.layers import (
     BN_EPSILON,
     KERNEL,
@@ -114,7 +114,7 @@ def batchnorm_forward(
     if c != layer.channels:
         raise ShapeError(f"batchnorm input has {c} channels, layer has {layer.channels}")
     if training and n * h * w < 2:
-        raise DegenerateBatchError(
+        raise ContractError(
             f"batchnorm training mode needs >= 2 samples per channel, got {n * h * w}"
         )
     if training:
@@ -140,7 +140,7 @@ def batchnorm_backward(
     if np.any(cache.var == 0.0):
         # The normalized output is constant in every direction that keeps the
         # channel constant; gradients through 1/sqrt(var+eps) are meaningless.
-        raise DegenerateBatchError(
+        raise ContractError(
             "batchnorm gradient undefined for zero-variance channel"
         )
     require_rank(upstream, 4, "batchnorm upstream")

@@ -394,16 +394,15 @@ class TestEval:
         ])
         assert code == 2
 
-    @pytest.mark.parametrize("flag", ["--batch", "--threads"])
-    def test_zero_batch_or_threads_is_usage_error(self, tmp_path, capsys, flag):
+    def test_zero_batch_is_usage_error(self, tmp_path, capsys):
         # The weights and manifest do not exist: reading either would exit 1.
         out = tmp_path / "o"
         code = cli.main([
             "eval", "--weights", str(tmp_path / "absent.fgn"),
-            "--manifest", str(tmp_path / "absent.csv"), flag, "0", "--out", str(out),
+            "--manifest", str(tmp_path / "absent.csv"), "--batch", "0", "--out", str(out),
         ])
         assert code == 2
-        assert capsys.readouterr().err == f"error: {flag} must be >= 1, got 0\n"
+        assert capsys.readouterr().err == "error: --batch must be >= 1, got 0\n"
         assert not out.exists()
 
     def test_weights_file_read_once(self, cli_run, tmp_path, monkeypatch):
@@ -531,8 +530,7 @@ class TestAblate:
         root, _ = synth_root
         shared = [
             "--layers", "1", "--filters", "2", "--size", "24", "--batch", "32",
-            "--lr", "0.01", "--early-stop", "0", "--seed", "7", "--threads", "2",
-            "--epochs", "1",
+            "--lr", "0.01", "--early-stop", "0", "--seed", "7", "--epochs", "1",
             "--manifest", str(root / "train" / "manifest.csv"),
             "--val-manifest", str(root / "val" / "manifest.csv"),
         ]
@@ -621,6 +619,19 @@ def test_usage_error_comes_before_out(tmp_path, argv):
         argv = [*argv, "--manifest", "m", "--val-manifest", "v", "--test-manifest", "t"]
     out = tmp_path / "o"
     assert cli.main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--manifest", "m", "--val-manifest", "v"],
+    ["eval", "--predictions", "p"],
+    ["ablate", "--axis", "layers", "--values", "1",
+     "--manifest", "m", "--val-manifest", "v", "--test-manifest", "t"],
+], ids=["train", "eval", "ablate"])
+def test_threads_is_an_unknown_flag(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert cli.main([*argv, "--threads", "1", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -323,7 +323,12 @@ class TestLoadImage:
         ("magic", b"P5\n1 1\n255\n\xff"),
         ("truncated", b"P6\n2 2\n255\n" + b"\xff" * 7),
         ("trailing", b"P6\n1 1\n255\n" + b"\xff" * 5),
-    ], ids=["empty", "magic", "truncated", "trailing"])
+        # Netpbm headers are ASCII decimal, with whitespace after the magic;
+        # int() would read these as widths 1, 10 and 2.
+        ("bad header token b'P61'", b"P61 1 255\n\xff\xff\xff"),
+        ("bad header token b'1_0'", b"P6 1_0 1 255\n" + b"\xff" * 30),
+        ("bad header token b'\\+2'", b"P6 +2 1 255\n" + b"\xff" * 6),
+    ], ids=["empty", "magic", "truncated", "trailing", "magic-run-on", "underscore", "sign"])
     def test_frame_size_rejects_what_load_image_rejects(self, tmp_path, match, blob):
         path = tmp_path / "bad.ppm"
         path.write_bytes(blob)
@@ -379,28 +384,29 @@ class TestMakeBatches:
         return data.DatasetManifest(rows=rows, split="train")
 
     def test_sizes(self):
-        batches = data.make_batches(self._manifest(10), 4, shuffle=False, seed=0)
-        assert [len(b) for b in batches] == [4, 4, 2]
-        assert batches[0] == [0, 1, 2, 3]
+        batches = data.make_batches(self._manifest(10), 4)
+        assert batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
 
     def test_shuffle_is_seed_deterministic(self):
         m = self._manifest(20)
-        a = data.make_batches(m, 6, shuffle=True, seed=42)
-        b = data.make_batches(m, 6, shuffle=True, seed=42)
-        c = data.make_batches(m, 6, shuffle=True, seed=43)
+        a = data.make_batches(m, 6, seed=42)
+        b = data.make_batches(m, 6, seed=42)
+        c = data.make_batches(m, 6, seed=43)
         assert a == b
         assert a != c
+        permutation = np.random.default_rng(42).permutation(20).tolist()
+        assert [i for batch in a for i in batch] == permutation
 
     def test_permutation_independent_of_batch_size(self):
         m = self._manifest(12)
-        fours = data.make_batches(m, 4, shuffle=True, seed=7)
-        threes = data.make_batches(m, 3, shuffle=True, seed=7)
+        fours = data.make_batches(m, 4, seed=7)
+        threes = data.make_batches(m, 3, seed=7)
         assert [i for b in fours for i in b] == [i for b in threes for i in b]
 
     @given(n=st.integers(1, 60), batch=st.integers(1, 60), seed=st.integers(0, 999))
     @settings(max_examples=40, deadline=None)
     def test_batches_partition_the_indices(self, n, batch, seed):
-        batches = data.make_batches(self._manifest(n), batch, shuffle=True, seed=seed)
+        batches = data.make_batches(self._manifest(n), batch, seed=seed)
         flat = sorted(i for b in batches for i in b)
         assert flat == list(range(n))
         assert all(len(b) == batch for b in batches[:-1])
@@ -408,11 +414,11 @@ class TestMakeBatches:
 
     def test_empty_manifest_rejected(self):
         with pytest.raises(ContractError):
-            data.make_batches(self._manifest(0), 4, shuffle=False, seed=0)
+            data.make_batches(self._manifest(0), 4)
 
     def test_bad_batch_size_rejected(self):
         with pytest.raises(ContractError):
-            data.make_batches(self._manifest(4), 0, shuffle=False, seed=0)
+            data.make_batches(self._manifest(4), 0)
 
 
 class TestGenerateSynthetic:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import reference_layers
 from fdcheck import assert_close, central_diff
 from forgenet import layers
-from forgenet.errors import ContractError, DegenerateBatchError, ShapeError
+from forgenet.errors import ContractError, ShapeError
 
 
 def make_conv(rng, filters, in_channels, dtype=np.float64):
@@ -426,7 +426,7 @@ class TestBatchNormForward:
 
     def test_single_element_training_rejected(self):
         layer = make_bn(1, np.float32)
-        with pytest.raises(DegenerateBatchError):
+        with pytest.raises(ContractError, match="needs >= 2 samples per channel, got 1"):
             layers.batchnorm_forward(np.ones((1, 1, 1, 1), np.float32), layer)
 
     def test_channel_mismatch_rejected(self):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import reference_layers
 from fdcheck import assert_close, central_diff, clone_network
 from test_data import FILE_EDITS, FUZZ_SETTINGS, mutate
-from forgenet import data, layers, model
+from forgenet import data, evaluator, layers, model
 from forgenet.errors import (
     ConfigError,
     ContractError,
@@ -82,6 +82,22 @@ class TestBuild:
         b = model.build(SMALL)
         for name, tensor in a.state_tensors().items():
             assert np.array_equal(tensor, b.state_tensors()[name]), name
+
+    def test_networks_compare_by_identity(self):
+        # A generated == would compare the tensors, and raise on the truth
+        # value of an array; equal tensors are a matter for state_tensors().
+        a, b = model.build(SMALL), model.build(SMALL)
+        assert a != b
+        assert a == a and b == b
+        assert len({a, b}) == 2
+
+    @pytest.mark.parametrize("cls", [
+        layers.ConvLayer, layers.BatchNormLayer, layers.DenseLayer,
+        layers.BatchNormCache, model.Network, model.ForwardCache, data.Batch,
+        evaluator.ConfusionMatrix, AdamState,
+    ], ids=lambda cls: cls.__name__)
+    def test_array_holders_generate_no_eq(self, cls):
+        assert cls.__eq__ is object.__eq__
 
     def test_different_seed_differs(self):
         a = model.build(SMALL)
@@ -316,8 +332,6 @@ class TestInferenceBuffers:
         assert list(net.state_tensors()) == names
         assert (tmp_path / "after.fgn").read_bytes() == (tmp_path / "before.fgn").read_bytes()
         assert "buffers" not in repr(net) and "generation" not in repr(net)
-        fields = {f.name: f for f in dataclasses.fields(model.Network)}
-        assert not fields["buffers"].compare and not fields["generation"].compare
 
 
 class TestWorkspace:

@@ -212,7 +212,7 @@ class TestTrain:
         net = model.build(NET_CFG)
         net.dense.weights[0, 0] = np.nan
         before = {k: v.copy() for k, v in net.parameters().items()}
-        first = data.make_batches(manifests["train"], 16, shuffle=True, seed=[0, 1])
+        first = data.make_batches(manifests["train"], 16, seed=[0, 1])
         row = manifests["train"].rows[first[0][0]]
         expected = (
             f"epoch 1, batch 1 (first sample: video '{row.video_id}', "
@@ -304,7 +304,7 @@ class TestTrainMemory:
         val = data.generate_synthetic(2, 2, 64, 12, tmp_path / "val", split="val")
         net = model.build(model.NetworkConfig(height=64, width=64, seed=5))
         config = quick_config(epochs=1, batch_size=16)
-        (indices,) = data.make_batches(manifest, 16, shuffle=True, seed=[0, 1])
+        (indices,) = data.make_batches(manifest, 16, seed=[0, 1])
 
         def epoch():
             trainer.train(net, manifest, val, config)
@@ -338,7 +338,7 @@ WARM_UP, STEPS = 2, 20
 manifest = data.read_manifest(sys.argv[1])
 net = model.build(model.NetworkConfig(height=32, width=32, seed=5))
 params, adam = net.parameters(), AdamState()
-batches = data.make_batches(manifest, 16, shuffle=True, seed=0)
+batches = data.make_batches(manifest, 16, seed=0)
 for step in range(WARM_UP + STEPS):
     if step == WARM_UP:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -359,7 +359,7 @@ class TestTrainWorkspace:
         _, manifests = synth_root
         train = manifests["train"]
         net = model.build(NET_CFG)
-        (indices, *_) = data.make_batches(train, 16, shuffle=True, seed=0)
+        (indices, *_) = data.make_batches(train, 16, seed=0)
         batch = data.assemble_batch(train, indices, out=model.input_buffer(net, 16))
         _, cache = model.forward(net, batch.x, training=True)
         model.backward(net, cache, batch.y)
