@@ -79,12 +79,12 @@ def run_ablation(
     val_manifest: data_mod.DatasetManifest,
     test_manifest: data_mod.DatasetManifest,
 ) -> list[AblationRow]:
-    """One row per value of the axis. Every point's inputs, test set included,
-    pass the trainer's `check_inputs` before the first point trains."""
+    """One row per value of the axis. Before the first point trains, the
+    trainer's checks pass every frame, test set included, once (no axis
+    changes the frame size) and every point's batch size."""
+    trainer_mod.check_frames(spec.base_net, train_manifest, val_manifest, test_manifest)
     for net_cfg, train_cfg in spec.configs:
-        trainer_mod.check_inputs(
-            net_cfg, train_cfg, train_manifest, val_manifest, test_manifest
-        )
+        trainer_mod.check_batch_size(net_cfg, train_cfg, len(train_manifest))
     rows: list[AblationRow] = []
     for value, (net_cfg, train_cfg) in zip(spec.values, spec.configs):
         started = time.perf_counter()

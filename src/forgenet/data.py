@@ -9,8 +9,9 @@ Every CSV the package writes goes through `write_csv`, every output but PPM
 frames through `write_atomic`, and every CSV it reads (manifests and
 prediction logs, one row per frame) through `read_frame_rows`. Such a file
 is read by `open_text`, whose errors name the file and the line, and one
-with a header and no rows is refused. A frame is read and checked one way,
-whether it is only sized (`frame_size`) or decoded (`load_image`).
+with a header and no rows is refused. A frame is checked one way, whether
+it is only sized (`frame_size`, from its header and file size) or decoded
+(`load_image`, from a whole read).
 
 The synthetic generator produces desk-scale stand-in data with the same
 layout: per-video smooth color gradients, where fake videos additionally
@@ -210,11 +211,15 @@ def _next_token(data: bytes, pos: int, path) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def _read_ppm(path) -> tuple[bytes, int, int, int]:
-    """(bytes, height, width, raster offset) of the binary PPM (P6, maxval
-    255) at `path`, read whole. DecodeError names the path unless its header
-    is whole ASCII decimal and its raster exactly 3 * width * height bytes."""
-    data = Path(path).read_bytes()
+# A frame header is "P6", three decimal fields and their separators: about
+# 15 bytes at any frame size here. Longer ones (comments) are read whole.
+HEADER_BYTES = 64
+
+
+def _ppm_header(data: bytes, path) -> tuple[int, int, int]:
+    """(height, width, raster offset) of the binary PPM (P6, maxval 255)
+    header at the start of `data`; DecodeError names the path unless the
+    header is whole ASCII decimal followed by one whitespace byte."""
     if data[:2] != b"P6":
         raise DecodeError(f"{path}: wrong magic {data[:2]!r}, expected b'P6'")
     if len(data) > 2 and data[2] not in b" \t\r\n#":  # else "P61" is width 1
@@ -236,8 +241,30 @@ def _read_ppm(path) -> tuple[bytes, int, int, int]:
         raise DecodeError(f"{path}: maxval must be 255, got {maxval}")
     if pos == len(data):  # no whitespace byte after maxval
         raise DecodeError(f"{path}: truncated PPM header")
-    pos += 1  # single whitespace byte after maxval
-    length, expected = len(data) - pos, 3 * width * height
+    return height, width, pos + 1  # single whitespace byte after maxval
+
+
+def _read_ppm(path, raster: bool = True) -> tuple[bytes, int, int, int]:
+    """(bytes, height, width, raster offset) of the binary PPM (P6, maxval
+    255) at `path`. DecodeError names the path unless its header is whole
+    ASCII decimal and its raster exactly 3 * width * height bytes.
+
+    The bytes are the whole file, or without `raster` its first
+    HEADER_BYTES, and the raster's length comes from the file's size. A
+    header that does not parse from those is parsed again from the whole
+    file, which also gives every error the message a whole read gives."""
+    with open(path, "rb") as f:
+        data = f.read(-1 if raster else HEADER_BYTES)
+        size = len(data) if raster else os.fstat(f.fileno()).st_size
+        while True:
+            try:
+                height, width, pos = _ppm_header(data, path)
+                break
+            except DecodeError:
+                if len(data) >= size:
+                    raise
+            data += f.read()
+    length, expected = size - pos, 3 * width * height
     if length < expected:
         raise DecodeError(f"{path}: truncated pixel data ({length} of {expected} bytes)")
     if length > expected:
@@ -248,14 +275,16 @@ def _read_ppm(path) -> tuple[bytes, int, int, int]:
 def frame_size(path) -> tuple[int, int]:
     """(height, width) of a binary PPM frame, checked as `load_image` checks
     it but not decoded, so that every frame of a manifest can be checked
-    before the first is. The file is read whole."""
-    _, height, width, _ = _read_ppm(path)
+    before the first is. Only the header is read; the raster's length is
+    checked against the file's size."""
+    _, height, width, _ = _read_ppm(path, raster=False)
     return height, width
 
 
 def check_frame_sizes(expected: tuple[int, int], *manifests: DatasetManifest) -> None:
-    """Reads and checks every frame, decoding none, so that a bad frame or one
-    whose (height, width) is not `expected` fails a run before its first batch."""
+    """Checks every frame by its header and size, decoding none, so that a bad
+    frame or one whose (height, width) is not `expected` fails a run before
+    its first batch."""
     for manifest in manifests:
         for row in manifest.rows:
             size = frame_size(row.path)

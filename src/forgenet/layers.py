@@ -28,10 +28,15 @@ bias gradient.
 BN and ReLU overwrite arrays that only the model holds: `batchnorm_forward`
 centres its input in place and keeps it as `centred`, `relu_forward` clamps
 its input, and both backwards write d_input into their upstream (BN's also
-overwrites `centred`). Conv forward and BN forward write their output, and
-conv and dense backward their d_input, into `out` when given: a C-contiguous
-array of that result's shape and dtype that overlaps no input but dense
-backward's `x`.
+overwrites `centred`). Until BN's backward, `batchnorm_output` writes the
+same output again from the cache, so the model keeps only two block
+outputs and rebuilds the rest. BN's elementwise passes, its output write
+and its backward's four-pass tail, run one sample at a time, so that each
+pass reads what the one before left in L2 cache; its sums over (n, h, w)
+stay whole-batch, so no number depends on that. Conv forward and BN
+forward write their output, and conv and dense backward their d_input, into
+`out` when given: a C-contiguous array of that result's shape and dtype
+that overlaps no input but dense backward's `x`.
 """
 
 from __future__ import annotations
@@ -291,11 +296,10 @@ def batchnorm_forward(
     x: np.ndarray, layer: BatchNormLayer, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, BatchNormCache]:
     """Per-channel standardization over (n, h, w) with batch statistics
-    (biased variance), then affine gamma/beta, written as centred * (gamma *
-    inv_std) + beta into `out` (a new array when None). Writes no layer
-    tensor; returns `out` and the backward cache, whose `centred` is `x`
-    less its channel means, in place, and whose `mean` and `var` are the
-    batch statistics."""
+    (biased variance), then affine gamma/beta, written by `batchnorm_output`
+    into `out` (a new array when None). Writes no layer tensor; returns `out`
+    and the backward cache, whose `centred` is `x` less its channel means, in
+    place, and whose `mean` and `var` are the batch statistics."""
     require_rank(x, 4, "batchnorm input")
     n, c, h, w = x.shape
     if c != layer.channels:
@@ -309,9 +313,24 @@ def batchnorm_forward(
     x -= mean.reshape(1, c, 1, 1)
     var = np.einsum("nchw,nchw->c", x, x) / (n * h * w)
     inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-    np.multiply(x, (layer.gamma * inv_std).reshape(1, c, 1, 1), out=out)
-    out += layer.beta.reshape(1, c, 1, 1)
-    return out, BatchNormCache(centred=x, mean=mean, var=var, inv_std=inv_std)
+    cache = BatchNormCache(centred=x, mean=mean, var=var, inv_std=inv_std)
+    return batchnorm_output(cache, layer, out), cache
+
+
+def batchnorm_output(
+    cache: BatchNormCache, layer: BatchNormLayer, out: np.ndarray
+) -> np.ndarray:
+    """Write BN's output, centred * (gamma * inv_std) + beta, into `out`, one
+    sample at a time, so that the add reads what the multiply left in cache.
+    Reads only `cache` and `layer`, so while neither changes a second call
+    writes the same bits as the first; returns `out`."""
+    c = layer.channels
+    scale = (layer.gamma * cache.inv_std).reshape(c, 1, 1)
+    beta = layer.beta.reshape(c, 1, 1)
+    for sample, centred in zip(out, cache.centred):
+        np.multiply(centred, scale, out=sample)
+        sample += beta
+    return out
 
 
 def batchnorm_backward(
@@ -321,11 +340,11 @@ def batchnorm_backward(
     d_input = gamma * inv_std / m * (m * upstream - d_beta - xhat * d_gamma)
     over m = n*h*w values per channel, with xhat = centred * inv_std (Ioffe
     & Szegedy 2015, arXiv 1502.03167, section 3). It is built in `upstream`
-    as a * upstream - b - c * centred with per-channel a = gamma * inv_std,
-    b = a * d_beta / m and c = a * inv_std * d_gamma / m; consumes
-    `cache.centred`. BN_EPSILON > 0 keeps it exact on a constant channel,
-    where centred = 0 and d_input = gamma * inv_std * (upstream - mean
-    upstream)."""
+    as a * upstream - b - k * centred with per-channel a = gamma * inv_std,
+    b = a * d_beta / m and k = a * inv_std * d_gamma / m, one sample at a
+    time after the whole-batch sums; consumes `cache.centred`. BN_EPSILON >
+    0 keeps it exact on a constant channel, where centred = 0 and d_input =
+    gamma * inv_std * (upstream - mean upstream)."""
     require_rank(upstream, 4, "batchnorm upstream")
     centred = cache.centred
     if upstream.shape != centred.shape:
@@ -337,10 +356,14 @@ def batchnorm_backward(
     d_beta = upstream.sum(axis=(0, 2, 3))
     d_gamma = cache.inv_std * np.einsum("nchw,nchw->c", upstream, centred)
     a = layer.gamma * cache.inv_std
-    upstream *= a.reshape(1, c, 1, 1)
-    upstream -= (a * d_beta / count).reshape(1, c, 1, 1)
-    centred *= (a * cache.inv_std * d_gamma / count).reshape(1, c, 1, 1)
-    upstream -= centred
+    b = (a * d_beta / count).reshape(c, 1, 1)
+    k = (a * cache.inv_std * d_gamma / count).reshape(c, 1, 1)
+    a = a.reshape(c, 1, 1)
+    for up, cent in zip(upstream, centred):
+        up *= a
+        up -= b
+        cent *= k
+        up -= cent
     return upstream, d_gamma, d_beta
 
 

@@ -12,21 +12,27 @@ computes none. It is stored, and inference folds it in, but never updated.
 
 BN runs only in training. Both passes work in one workspace that the
 `Network` keeps for its life, `Network.buffers`: the decoded batch
-(`input_buffer`), and for each block i its conv output `conv{i}` and its
-ReLU output `act{i}`. Each is a flat array grown to the largest batch it has
-served and viewed at the front for smaller ones, so repeat steps and
-requests reuse memory the process holds, where fresh arrays would be trimmed
-from the heap after each and faulted back in by the next.
+(`input_buffer`), for each block i its conv output `conv{i}`, and two block
+outputs, `act0` and `act1`, which block i writes as `act{i % 2}`. Each is a
+flat array grown to the largest batch it has served and viewed at the front
+for smaller ones, so repeat steps and requests reuse memory the process
+holds, where fresh arrays would be trimmed from the heap after each and
+faulted back in by the next. At 128px, batch 128 it is 206 MiB; one array
+per block output made it 263.
 - A training forward writes block i's conv output into `conv{i}`, where BN
   centres it in place and keeps it for backward, and BN's output into
-  `act{i}`, where ReLU clamps it (see `layers`).
+  `act{i % 2}`, where ReLU clamps it (see `layers`).
+- Backward reads each block's output, as the next conv's input and as its
+  ReLU mask. The last two are still in `act0` and `act1`; it writes each
+  earlier one there again from its BN cache (`layers.batchnorm_output`).
 - Backward writes each gradient into memory whose forward contents are
-  dead: the dense input gradient into the last ReLU output, once its ReLU
-  mask and the dense weight gradient are read, and conv i's input gradient
-  into `conv{i}`, once BN i's backward has consumed the centred values.
-  Past block 0, `conv{i}` is sized for conv i's input so that it can hold it.
+  dead: the dense input gradient into the last block's output, once its
+  ReLU mask and the dense weight gradient are read, and conv i's input
+  gradient into `conv{i}`, once BN i's backward has consumed the centred
+  values. Past block 0, `conv{i}` is sized for conv i's input so that it
+  can hold it.
 - An inference forward folds each BN into its conv and writes the block
-  outputs into `act0` and `act1` in turn.
+  outputs into `act0` and `act1` in the same way.
 
 So every forward overwrites what the previous forward's cache views, and
 every backward the cache it reads. Each pass advances `Network.generation`,
@@ -113,7 +119,7 @@ class Network:
     bns: list[L.BatchNormLayer]
     dense: L.DenseLayer
     # The workspace by name, flat arrays viewed at the front (see `_buffer`):
-    # "batch", the decoded frames, and per block i "conv{i}" and "act{i}".
+    # "batch", the decoded frames, per block i "conv{i}", and "act0", "act1".
     buffers: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     generation: int = field(default=0, repr=False)  # passes run
 
@@ -221,12 +227,14 @@ def unflatten(x2: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(eq=False)
 class ForwardCache:
-    """What backward reads of a training forward. `activations` holds the
-    image batch, then each block's ReLU output: block i's conv input is
-    activations[i] and its ReLU output activations[i + 1]. It serves one
+    """What backward reads of a training forward: the image batch, the last
+    block's ReLU output, each block's BN cache and the probabilities. The
+    other block outputs are not kept: backward finds the second-to-last in
+    the workspace and rebuilds the rest from their BN caches. It serves one
     backward, before the next pass on its net (`generation`)."""
 
-    activations: list[np.ndarray]
+    batch: np.ndarray
+    top: np.ndarray
     bn_caches: list[L.BatchNormCache]
     probs: np.ndarray
     generation: int
@@ -237,11 +245,11 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the network; returns clamped probabilities and the backward cache.
 
-    Training mode keeps each block's input, centred values and batch
-    statistics in the cache, in the net's workspace. Inference mode folds
-    each BN, with its stored statistics, into its conv, writes the block
-    outputs into the workspace's `act0` and `act1` in turn and returns None
-    for the cache. Neither writes `x` or a state tensor, and the
+    Both modes write the block outputs into the workspace's `act0` and
+    `act1` in turn. Training mode keeps each block's centred conv output and
+    batch statistics in the cache, in the net's workspace. Inference mode
+    folds each BN, with its stored statistics, into its conv and returns
+    None for the cache. Neither writes `x` or a state tensor, and the
     probabilities are a new array.
     """
     L.require_rank(x, 4, "network input")
@@ -252,27 +260,25 @@ def forward(
             f"network input shape {x.shape[1:]} != configured {expected}"
         )
     net.generation += 1
-    activations, bn_caches = [x], []
+    bn_caches = []
     h = x
     for i, (conv, bn) in enumerate(zip(net.convs, net.bns)):
         n, _, height, width = h.shape
         shape = (n, conv.filters, height - L.KERNEL + 1, width - L.KERNEL + 1)
         dtype = np.result_type(conv.weights, h)
+        out = _buffer(net, f"act{i % 2}", shape, dtype)
         if not training:
-            out = _buffer(net, f"act{i % 2}", shape, dtype)
             h = L.relu_forward(L.conv2d_forward(h, L.batchnorm_fold(conv, bn), out=out))
             continue
         # Backward writes conv i's d_input here, of the shape of its input h.
         z = _buffer(net, f"conv{i}", shape, dtype, reserve=h.size if i else 0)
-        out = _buffer(net, f"act{i}", shape, dtype)
         h, bn_cache = L.batchnorm_forward(L.conv2d_forward(h, conv, out=z), bn, out=out)
         h = L.relu_forward(h)
-        activations.append(h)
         bn_caches.append(bn_cache)
     probs = L.sigmoid(L.dense_forward(flatten(h), net.dense))
     if not training:
         return probs, None
-    return probs, ForwardCache(activations, bn_caches, probs, net.generation)
+    return probs, ForwardCache(x, h, bn_caches, probs, net.generation)
 
 
 def backward(
@@ -284,6 +290,13 @@ def backward(
     sigmoid never appears as a separate backward step. It advances
     `net.generation` once the labels pass, before its first write, so a
     backward refused for its labels leaves the cache usable.
+
+    Block i's conv input, past block 0, is block i - 1's ReLU output. The
+    second-to-last block's is still in its `act` array; each earlier one was
+    overwritten two blocks later, so backward writes it there again from its
+    BN cache, whose centred values no pass has written since forward (Chen
+    et al. 2016, arXiv 1604.06174). The rebuild makes the same calls on the
+    same values as forward, so it writes the same bits.
     """
     if cache is None:
         raise ContractError("backward requires the cache of a training-mode forward")
@@ -299,23 +312,30 @@ def backward(
     _, d_logits = L.bce_loss(p, y)
     net.generation += 1
 
-    acts = cache.activations
     grads: dict[str, np.ndarray] = {}
-    top = acts[-1]
+    top = cache.top
     # The dense d_input goes into the last ReLU output, so its mask goes first.
     mask = top > 0
     d, grads["dense.weights"], grads["dense.bias"] = L.dense_backward(
         flatten(top), net.dense, d_logits, out=flatten(top)
     )
     d = unflatten(d, top.shape)
-    for i in reversed(range(len(net.convs))):
+    last = len(net.convs) - 1
+    for i in reversed(range(last + 1)):
         d = L.relu_backward(mask, d)
         d, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = L.batchnorm_backward(
             cache.bn_caches[i], net.bns[i], d
         )
+        if i:
+            # Block i - 1's output, where forward wrote it.
+            prev = cache.bn_caches[i - 1]
+            x = _buffer(net, f"act{(i - 1) % 2}", prev.centred.shape, prev.centred.dtype)
+            if i < last:  # block i + 1 has overwritten it since
+                L.relu_forward(L.batchnorm_output(prev, net.bns[i - 1], x))
+        else:
+            x = cache.batch
         # Block 0's input is the image batch; nothing reads its gradient.
         # Past it, conv i's d_input goes where BN i's centred values were.
-        x = acts[i]
         out = _buffer(net, f"conv{i}", x.shape, x.dtype) if i else None
         d, grads[f"conv{i}.weights"] = L.conv2d_backward(
             x, net.convs[i], d, input_grad=i > 0, out=out

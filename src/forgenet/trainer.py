@@ -9,8 +9,9 @@ runs in inference mode and never touches network state. Early stopping
 compares the last two validation accuracies: training stops once they
 differ by less than the configured delta.
 
-`check_inputs` refuses a bad input before the first step; `train` calls it,
-and an ablation sweep calls it for every point before the first trains.
+`check_frames` and `check_batch_size` refuse a bad input before the first
+step. `train` calls both; an ablation sweep checks its frames once and every
+point's batch size before the first point trains.
 """
 
 from __future__ import annotations
@@ -92,20 +93,21 @@ def validation_accuracy(
     return accuracy
 
 
-def check_inputs(
-    net_config: model_mod.NetworkConfig, config: TrainConfig,
-    train_manifest: data_mod.DatasetManifest, *manifests: data_mod.DatasetManifest,
+def check_frames(
+    net_config: model_mod.NetworkConfig, *manifests: data_mod.DatasetManifest
 ) -> None:
-    """Refuse what `train` could not finish: an empty manifest, a frame not of
-    the input size (both also in `manifests`, the other sets a run scores), or
-    a last batch that leaves batch norm one value per channel."""
-    for manifest in (train_manifest, *manifests):
+    """Refuse an empty manifest or a frame not of the net's input size."""
+    for manifest in manifests:
         if not manifest.rows:
             raise ContractError(f"empty {manifest.split} manifest")
-    expected = (net_config.height, net_config.width)
-    data_mod.check_frame_sizes(expected, train_manifest, *manifests)
-    # Training BN needs 2 values per channel, and the last batch is the smallest.
-    frames = len(train_manifest)
+    data_mod.check_frame_sizes((net_config.height, net_config.width), *manifests)
+
+
+def check_batch_size(
+    net_config: model_mod.NetworkConfig, config: TrainConfig, frames: int
+) -> None:
+    """Refuse a batch size whose last batch of `frames` training frames
+    leaves batch norm one value per channel."""
     last = frames % config.batch_size or config.batch_size
     height, width = net_config.feature_height, net_config.feature_width
     if last * height * width < 2:
@@ -123,11 +125,12 @@ def train(
     config: TrainConfig,
 ) -> tuple[model_mod.Network, list[EpochRecord], str]:
     """Run up to config.epochs of Adam updates; returns the trained network,
-    one record per completed epoch, and why training stopped. `check_inputs`
-    refuses a bad input before the first step. A non-finite gradient stops
-    training with an error that names its epoch, its batch and the batch's
-    first (video_id, frame_index)."""
-    check_inputs(net.config, config, train_manifest, val_manifest)
+    one record per completed epoch, and why training stopped. `check_frames`
+    and `check_batch_size` refuse a bad input before the first step. A
+    non-finite gradient stops training with an error that names its epoch,
+    its batch and the batch's first (video_id, frame_index)."""
+    check_frames(net.config, train_manifest, val_manifest)
+    check_batch_size(net.config, config, len(train_manifest))
     frames = len(train_manifest)
     params = net.parameters()
     adam = AdamState(lr=config.lr)

@@ -171,6 +171,35 @@ class TestRefusesBeforeTraining:
             ablation.run_ablation(spec, seventeen, manifest, manifest)
         assert not trains
 
+    def test_frames_checked_once_per_sweep(self, synth_root, monkeypatch):
+        """No axis changes the frame size, so each frame of the three
+        manifests is sized once before the first point trains, not once per
+        point."""
+        _, manifests = synth_root
+        sized = []
+        frame_size = data.frame_size
+
+        def counted(path):
+            sized.append(path)
+            return frame_size(path)
+
+        class FirstPointTrains(Exception):
+            pass
+
+        def first_train(*args, **kwargs):
+            raise FirstPointTrains
+
+        monkeypatch.setattr(data, "frame_size", counted)
+        monkeypatch.setattr(trainer, "train", first_train)
+        with pytest.raises(FirstPointTrains):
+            ablation.run_ablation(
+                spec_for("filters", (1, 2)), manifests["train"], manifests["val"],
+                manifests["test"],
+            )
+        frames = [row.path for split in ("train", "val", "test")
+                  for row in manifests[split].rows]
+        assert sorted(sized) == sorted(frames)
+
     def test_empty_test_manifest(self, synth_root, trains):
         _, manifests = synth_root
         with pytest.raises(ContractError, match="^empty test manifest"):

@@ -328,7 +328,12 @@ class TestLoadImage:
         ("bad header token b'P61'", b"P61 1 255\n\xff\xff\xff"),
         ("bad header token b'1_0'", b"P6 1_0 1 255\n" + b"\xff" * 30),
         ("bad header token b'\\+2'", b"P6 +2 1 255\n" + b"\xff" * 6),
-    ], ids=["empty", "magic", "truncated", "trailing", "magic-run-on", "underscore", "sign"])
+        # frame_size reads the first HEADER_BYTES; this header runs past them.
+        ("trailing", b"P6\n#" + b"c" * data.HEADER_BYTES + b"\n1 1\n255\n" + b"\xff" * 5),
+    ], ids=[
+        "empty", "magic", "truncated", "trailing", "magic-run-on", "underscore", "sign",
+        "long-comment",
+    ])
     def test_frame_size_rejects_what_load_image_rejects(self, tmp_path, match, blob):
         path = tmp_path / "bad.ppm"
         path.write_bytes(blob)
@@ -337,6 +342,18 @@ class TestLoadImage:
         with pytest.raises(DecodeError) as loaded:
             data.load_image(path)
         assert str(sized.value) == str(loaded.value)
+
+    @pytest.mark.parametrize("comment", range(data.HEADER_BYTES))
+    def test_frame_size_reads_a_header_cut_by_the_first_read(self, tmp_path, comment):
+        # Each comment length cuts the header at another byte, down to the
+        # whitespace after maxval, which then falls at the end of the read.
+        head = b"P6\n#" + b"c" * comment + b"\n3 12\n255\n"
+        path = tmp_path / "s.ppm"
+        path.write_bytes(head + b"\x00" * 108)
+        assert data.frame_size(path) == (12, 3)
+        path.write_bytes(head + b"\x00" * 109)
+        with pytest.raises(DecodeError, match="1 trailing bytes"):
+            data.frame_size(path)
 
     @pytest.mark.parametrize("decode", [data.frame_size, data.load_image])
     def test_truncated_header_names_its_path(self, tmp_path, decode):
@@ -368,6 +385,26 @@ class TestLoadImage:
                 decode(path)
             except DecodeError:
                 pass
+
+    @given(comment=st.integers(0, 2 * data.HEADER_BYTES), edits=FILE_EDITS)
+    @FUZZ_SETTINGS
+    def test_mutated_frame_sized_as_loaded(self, tmp_path, comment, edits):
+        # frame_size reads a header, whole or not, and the file size; it must
+        # agree with load_image's whole read on any bytes.
+        path = tmp_path / "m.ppm"
+        blob = b"P6\n#" + b"c" * comment + b"\n5 4\n255\n" + bytes(range(60))
+        path.write_bytes(mutate(blob, edits))
+
+        def outcome(read):
+            try:
+                return read(path)
+            except DecodeError as exc:
+                return str(exc)
+
+        loaded = outcome(data.load_image)
+        assert outcome(data.frame_size) == (
+            loaded if isinstance(loaded, str) else loaded.shape[2:]
+        )
 
     def test_write_load_roundtrip_on_quantized_values(self, rng, tmp_path):
         pixels = (rng.integers(0, 256, size=(3, 4, 5)) / 255.0).astype(np.float32)

@@ -351,14 +351,41 @@ class TestWorkspace:
         assert {name: buf.ctypes.data for name, buf in net.buffers.items()} == pointers
 
     def test_cache_views_the_workspace(self, rng):
-        net = model.build(SMALL)
-        x = rng.uniform(size=(4, 3, 12, 12)).astype(np.float32)
+        # Four blocks, so that block i's act{i % 2} is not act{i} past block 1.
+        config = model.NetworkConfig(conv_layers=4, filters=2, height=16, width=16)
+        net = model.build(config)
+        x = model.input_buffer(net, 4)
+        x[...] = rng.uniform(size=x.shape)
         _, cache = model.forward(net, x, training=True)
+        assert cache.batch is x
         for i, bn_cache in enumerate(cache.bn_caches):
             assert np.shares_memory(bn_cache.centred, net.buffers[f"conv{i}"])
-            assert np.shares_memory(cache.activations[i + 1], net.buffers[f"act{i}"])
+        assert np.shares_memory(cache.top, net.buffers["act1"])
         # Past block 0, conv i's buffer holds conv i's input gradient too.
-        assert net.buffers["conv1"].size == cache.activations[1].size
+        assert net.buffers["conv1"].size == cache.bn_caches[0].centred.size
+        model.backward(net, cache, np.array([0.0, 1.0, 0.0, 1.0], np.float32))
+        # Two block outputs, not one per block.
+        assert set(net.buffers) == {
+            "batch", "conv0", "conv1", "conv2", "conv3", "act0", "act1",
+        }
+
+    def test_first_step_peak_memory(self, rng):
+        # The workspace is four conv arrays and two block outputs, 5.75
+        # block-0 outputs here; the ReLU masks, patch buffers and head add
+        # under one more. One array per block output would peak at 8.3.
+        config = model.NetworkConfig(conv_layers=4, height=64, width=64, seed=3)
+        net = model.build(config)
+        x = rng.uniform(size=(16, 3, 64, 64)).astype(np.float32)
+        y = (np.arange(16) % 2).astype(np.float32)
+        first_block_bytes = 16 * config.filters * 62 * 62 * x.itemsize
+        tracemalloc.start()
+        try:
+            _, cache = model.forward(net, x, training=True)
+            model.backward(net, cache, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * first_block_bytes
 
     @pytest.mark.parametrize("between", [True, False], ids=["training", "inference"])
     def test_stale_cache_rejected(self, rng, between):
@@ -547,6 +574,55 @@ class TestBackward:
         _, cache = model.forward(net, x, training=True)
         with pytest.raises(ContractError):
             model.backward(net, cache, np.zeros(3, np.float32))
+
+
+def reference_step(net, x, y):
+    """One training forward and backward through the layer functions, with a
+    copy of every block output kept for backward; returns the gradients."""
+    outputs, bn_caches = [x], []
+    for conv, bn in zip(net.convs, net.bns):
+        h, bn_cache = layers.batchnorm_forward(layers.conv2d_forward(outputs[-1], conv), bn)
+        outputs.append(layers.relu_forward(h).copy())
+        bn_caches.append(bn_cache)
+    top = outputs[-1]
+    probs = layers.sigmoid(layers.dense_forward(model.flatten(top), net.dense))
+    _, d_logits = bce_loss(probs, y)
+    grads = {}
+    d, grads["dense.weights"], grads["dense.bias"] = layers.dense_backward(
+        model.flatten(top), net.dense, d_logits
+    )
+    d = d.reshape(top.shape)
+    for i in reversed(range(len(net.convs))):
+        d = layers.relu_backward(outputs[i + 1], d)
+        d, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = layers.batchnorm_backward(
+            bn_caches[i], net.bns[i], d
+        )
+        d, grads[f"conv{i}.weights"] = layers.conv2d_backward(
+            outputs[i], net.convs[i], d, input_grad=i > 0
+        )
+    return grads
+
+
+class TestRebuiltBlockOutputs:
+    """Backward rebuilds the block outputs that forward overwrote; its
+    gradients are the bits of a pass that kept every block output."""
+
+    def test_gradients_equal_a_pass_keeping_every_output(self, rng):
+        config = model.NetworkConfig(conv_layers=4, height=32, width=32, seed=4)
+        net, twin = model.build(config), model.build(config)
+        adam, twin_adam = AdamState(), AdamState()
+        for step in range(3):
+            x = model.input_buffer(net, 16)
+            x[...] = rng.uniform(size=x.shape)
+            y = (rng.uniform(size=16) > 0.5).astype(np.float32)
+            expected = reference_step(twin, x.copy(), y)
+            _, cache = model.forward(net, x, training=True)
+            grads = model.backward(net, cache, y)
+            assert grads.keys() == expected.keys()
+            for name, g in grads.items():
+                assert np.array_equal(g, expected[name]), (step, name)
+            adam_step(net.parameters(), grads, adam)
+            adam_step(twin.parameters(), expected, twin_adam)
 
 
 def reference_conv_backward(x, layer, upstream, input_grad=True, out=None):
